@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench race examples ci chaos fuzz figures bench-liveness bench-coalesce bench-translate bench-translate-check bench-scale bench-serve bench-memo bench-all bench-compare bench-store-list
+.PHONY: build test vet bench race examples ci chaos fuzz perfbench-check figures bench-liveness bench-coalesce bench-translate bench-translate-check bench-scale bench-serve bench-memo bench-all bench-compare bench-store-list
 
 # Scale of the liveness trajectory corpus; CI uses the short default, local
 # runs can pass LIVENESS_SCALE=1 for the full thousands-of-blocks corpus.
@@ -77,6 +77,13 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./outofssa
 	$(GO) test -run '^$$' -fuzz 'FuzzTranslate$$' -fuzztime $(FUZZTIME) ./outofssa
+
+# Vet and self-test the benchmark module. perfbench/ is its own module
+# (repro/perfbench, replace repro => ../), so the root `go test ./...`
+# never builds it; this target catches engine API changes that break it.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
 
 figures:
 	$(GO) run ./cmd/ssabench -fig all
@@ -158,4 +165,4 @@ bench-compare:
 bench-store-list:
 	$(GO) run ./cmd/ssabench store list -store $(BENCH_STORE)
 
-ci: vet build test race examples chaos bench-memo
+ci: vet build test race examples chaos perfbench-check bench-memo

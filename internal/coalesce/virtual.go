@@ -198,8 +198,8 @@ func (vz *Virtualizer) materialize(f *ir.Func, b *ir.Block, phi *ir.Instr, it *v
 		du.AddDef(p, b.ID, 0, phi)
 		du.AddUse(p, b.ID, slot, begin)
 		du.ReplaceDef(a0, b.ID, slot, begin)
-		chk.DefMoved(p)
-		chk.DefMoved(a0)
+		vz.M.Classes.DefMoved(p)
+		vz.M.Classes.DefMoved(a0)
 		vz.addGraphEdgesResult(b, p)
 		res.Materialized = append(res.Materialized, sreedhar.Affinity{
 			Dst: a0, Src: p, Weight: it.weight, Block: b.ID, Slot: slot, Phi: phiID, Instr: begin,
@@ -222,7 +222,7 @@ func (vz *Virtualizer) materialize(f *ir.Func, b *ir.Block, phi *ir.Instr, it *v
 	du.AddUse(ai, pred.ID, slot, end)
 	du.RemoveUse(ai, pred.ID, ir.PhiUseSlot, phi)
 	du.AddUse(p, pred.ID, ir.PhiUseSlot, phi)
-	chk.DefMoved(p)
+	vz.M.Classes.DefMoved(p)
 	if vz.Live != nil {
 		out := vz.Live.Out(pred.ID)
 		out.Add(int(p))

@@ -13,12 +13,19 @@
 // intersects its nearest dominating ancestor or, with value equality in
 // play, one of that ancestor's equal-intersecting-ancestor chain.
 //
+// Every member also keeps its parent in its class's dominance forest. A
+// check starts at the first member of whichever class starts later: before
+// it the walk sees one class only and can find no interference, and the
+// stack it would hold there is the forest-parent chain of the member just
+// before. Merges keep the parents current from the walks that already run.
+//
 // A full coalescing run performs one merge per accepted affinity, so the
 // class storage is allocation-conscious: member lists and register labels
 // live in root-indexed slices (no map traffic on the hot path), merges
 // reuse the backing arrays of the merged lists whenever one has the
-// capacity, and retired arrays go to a small free list instead of the
-// garbage collector. The per-merge-allocating baseline survives behind the
+// capacity, and retired arrays — member lists and, through Retire, the
+// per-variable storage — go to a pool instead of the garbage collector.
+// The per-merge-allocating, full-walk baseline survives behind the
 // Reference flag as the trajectory benchmark's fixed comparison point.
 package congruence
 
@@ -29,7 +36,34 @@ import (
 
 // Classes is a union-find of variables with per-class ordered member lists.
 type Classes struct {
-	chk    *interference.Checker
+	storage
+	chk *interference.Checker
+
+	// pool recycles member-list backing arrays retired by merges and the
+	// per-variable storage retired by Retire. It is private by default;
+	// NewIn installs a caller-owned pool so successive translations share
+	// one set of arrays.
+	pool *ListPool
+
+	// Reference disables the scratch reuse: every merge allocates a fresh
+	// exact-size member list, as the pre-pooling implementation did, and
+	// the linear checks walk both classes from their first members. The
+	// coalescing trajectory benchmark measures against it.
+	Reference bool
+
+	epoch uint32
+	// checked holds the roots of the last successful InterferesLinear
+	// whose visit record Merge may consume; zero once anything else ran.
+	checked [2]ir.VarID
+
+	// Tests counts variable-to-variable intersection tests issued by the
+	// class-level checks (quadratic vs linear instrumentation).
+	Tests int
+}
+
+// storage is the per-variable state of a Classes instance plus the
+// traversal scratch, recycled through the ListPool by NewIn and Retire.
+type storage struct {
 	parent []ir.VarID
 	size   []int32
 	lists  [][]ir.VarID // root → members in pre-DFS def order; nil for singletons
@@ -39,41 +73,72 @@ type Classes struct {
 	// as one-element subslices of it instead of allocating per call.
 	singles []ir.VarID
 
-	// pool recycles member-list backing arrays retired by merges. It is
-	// private by default; NewIn installs a caller-owned pool so successive
-	// translations (and Retire at the end of each) share one set of arrays.
-	pool *ListPool
-
-	// stack is the reusable dominance-forest traversal stack of the linear
-	// checks and of recomputeEqualAnc (one live traversal at a time).
-	stack []stackEntry
-
-	// Reference disables the scratch reuse: every merge allocates a fresh
-	// exact-size member list, as the pre-pooling implementation did. The
-	// coalescing trajectory benchmark measures against it.
-	Reference bool
-
 	// equalAncIn[v] is the nearest dominating ancestor of v *within v's
 	// class* that has the same value and intersects v (paper, Section
 	// IV-B); NoVar when none.
 	equalAncIn []ir.VarID
 
-	// Scratch for the linear check, consumed by Merge.
+	// fpar[v] is v's parent in its class's dominance forest: the stack top
+	// when the full walk over the class pushes v (NoVar for a root). The
+	// linear checks rebuild their stack from it to skip the one-sided
+	// prefix of the merged walk.
+	fpar []ir.VarID
+
+	// Visit record of the last walk, consumed by Merge and MergeSimple:
+	// the members it visited and each one's merged-forest parent, plus the
+	// equal_anc_out scratch of the value-based check.
+	visited     []ir.VarID
+	visitPar    []ir.VarID
 	equalAncOut []ir.VarID
 	outEpoch    []uint32
-	epoch       uint32
 
-	// Tests counts variable-to-variable intersection tests issued by the
-	// class-level checks (quadratic vs linear instrumentation).
-	Tests int
+	// stack is the reusable dominance-forest traversal stack of the walks
+	// and of recomputeEqualAnc (one live traversal at a time).
+	stack []stackEntry
 }
 
-// ListPool recycles class member-list backing arrays. One pool may serve
-// many Classes instances sequentially (NewIn + Retire); sharing it across
-// translations is what keeps steady-state coalescing free of per-merge
-// allocations even though every translation starts fresh classes.
+// reset sizes the storage to vars, every variable a singleton class.
+func (s *storage) reset(vars []*ir.Var) {
+	n := len(vars)
+	s.parent = resize(s.parent, n)
+	s.size = resize(s.size, n)
+	s.lists = resize(s.lists, n)
+	s.reg = resize(s.reg, n)
+	s.singles = resize(s.singles, n)
+	s.equalAncIn = resize(s.equalAncIn, n)
+	s.fpar = resize(s.fpar, n)
+	s.visitPar = resize(s.visitPar, n)
+	s.equalAncOut = resize(s.equalAncOut, n)
+	s.outEpoch = resize(s.outEpoch, n)
+	clear(s.lists)
+	clear(s.outEpoch)
+	for i, v := range vars {
+		s.parent[i] = ir.VarID(i)
+		s.size[i] = 1
+		s.reg[i] = v.Reg
+		s.singles[i] = ir.VarID(i)
+		s.equalAncIn[i] = ir.NoVar
+		s.fpar[i] = ir.NoVar
+		s.equalAncOut[i] = ir.NoVar
+	}
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// ListPool recycles class member-list backing arrays and per-variable
+// storage. One pool may serve many Classes instances sequentially (NewIn +
+// Retire); sharing it across translations is what keeps steady-state
+// coalescing free of per-merge and per-variable allocations even though
+// every translation starts fresh classes.
 type ListPool struct {
 	spare [][]ir.VarID
+	vars  storage
 }
 
 // put retires a backing array for reuse by later merges.
@@ -104,37 +169,18 @@ func New(chk *interference.Checker) *Classes {
 	return NewIn(chk, nil)
 }
 
-// NewIn is New with a caller-owned list pool feeding the merge storage;
-// nil selects a private pool. Pair it with Retire to hand the grown arrays
-// back when the classes are done.
+// NewIn is New with a caller-owned pool feeding the merge and per-variable
+// storage; nil selects a private pool. Pair it with Retire to hand the
+// grown arrays back when the classes are done.
 func NewIn(chk *interference.Checker, pool *ListPool) *Classes {
 	if pool == nil {
 		pool = &ListPool{}
 	}
-	n := len(chk.F.Vars)
-	c := &Classes{
-		pool:        pool,
-		chk:         chk,
-		parent:      make([]ir.VarID, n),
-		size:        make([]int32, n),
-		lists:       make([][]ir.VarID, n),
-		reg:         make([]string, n),
-		singles:     make([]ir.VarID, n),
-		Reference:   chk.Reference,
-		equalAncIn:  make([]ir.VarID, n),
-		equalAncOut: make([]ir.VarID, n),
-		outEpoch:    make([]uint32, n),
+	c := &Classes{pool: pool, chk: chk, Reference: chk.Reference}
+	if !c.Reference {
+		c.storage, pool.vars = pool.vars, storage{}
 	}
-	for i := range c.parent {
-		c.parent[i] = ir.VarID(i)
-		c.size[i] = 1
-		c.singles[i] = ir.VarID(i)
-		c.equalAncIn[i] = ir.NoVar
-		c.equalAncOut[i] = ir.NoVar
-	}
-	for i, v := range chk.F.Vars {
-		c.reg[i] = v.Reg
-	}
+	c.reset(chk.F.Vars)
 	return c
 }
 
@@ -148,6 +194,8 @@ func (c *Classes) grow() {
 		c.reg = append(c.reg, c.chk.F.Vars[v].Reg)
 		c.singles = append(c.singles, v)
 		c.equalAncIn = append(c.equalAncIn, ir.NoVar)
+		c.fpar = append(c.fpar, ir.NoVar)
+		c.visitPar = append(c.visitPar, ir.NoVar)
 		c.equalAncOut = append(c.equalAncOut, ir.NoVar)
 		c.outEpoch = append(c.outEpoch, 0)
 	}
@@ -198,10 +246,10 @@ func (c *Classes) less(a, b ir.VarID) bool {
 // its class (testing hook).
 func (c *Classes) EqualAncIn(v ir.VarID) ir.VarID { return c.equalAncIn[v] }
 
-// Retire hands every live member list back to the classes' pool. The
-// Classes must not be used afterwards; the translator calls it once the
-// rewrite phase no longer needs class membership, so the next translation's
-// merges reuse the arrays.
+// Retire hands every live member list and the per-variable storage back to
+// the classes' pool. The Classes must not be used afterwards; the
+// translator calls it once the rewrite phase no longer needs class
+// membership, so the next translation reuses the arrays.
 func (c *Classes) Retire() {
 	if c.Reference {
 		return // reference merges allocate exact-size lists by design
@@ -212,4 +260,5 @@ func (c *Classes) Retire() {
 			c.lists[i] = nil
 		}
 	}
+	c.pool.vars, c.storage = c.storage, storage{}
 }

@@ -1,30 +1,41 @@
 package congruence
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // Merge coalesces the classes of a and b. It must be called right after an
 // InterferesLinear(a, b) call that returned false: the equal-intersecting-
 // ancestor information computed during that check is folded into the merged
 // class (paper: "the equal intersecting ancestor for the combined set is
 // updated to the maximum, following the pre-DFS order, of equal_anc_in and
-// equal_anc_out").
+// equal_anc_out"), and so are the merged-forest parents the check found.
+// Only visited members change: equal_anc_out is NoVar for the others, and
+// their parents are those of their own class — the skipped prefix precedes
+// the other class, and once the walk ends none of the other class's members
+// is ahead or on the stack.
 func (c *Classes) Merge(a, b ir.VarID) ir.VarID {
 	ra, rb := c.Find(a), c.Find(b)
 	if ra == rb {
 		return ra
 	}
-	merged := c.mergeRoots(ra, rb)
-	for _, v := range merged {
+	if c.checked != [2]ir.VarID{ra, rb} && c.checked != [2]ir.VarID{rb, ra} {
+		panic("congruence: Merge must follow a successful InterferesLinear of the same classes")
+	}
+	for _, v := range c.visited {
+		c.fpar[v] = c.visitPar[v]
 		c.equalAncIn[v] = c.maxPre(c.equalAncIn[v], c.getOut(v))
 	}
-	return c.link(ra, rb, merged)
+	return c.link(ra, rb, c.mergeRoots(ra, rb))
 }
 
 // MergeForced coalesces two classes unconditionally — used for the φ-node
 // classes of Method I (whose members are coalesced by construction) and for
 // pre-coalescing variables pinned to the same register. The equal-
-// intersecting-ancestor chains of the merged class are recomputed with one
-// stack traversal.
+// intersecting-ancestor chains and forest parents of the merged class are
+// recomputed with one stack traversal.
 func (c *Classes) MergeForced(a, b ir.VarID) ir.VarID {
 	ra, rb := c.Find(a), c.Find(b)
 	if ra == rb {
@@ -37,13 +48,43 @@ func (c *Classes) MergeForced(a, b ir.VarID) ir.VarID {
 
 // MergeSimple coalesces two classes without maintaining the equal-
 // intersecting-ancestor chains. It is the merge used by the quadratic
-// machinery variants, which never consult the chains.
+// machinery variants, which never consult the chains, and after the pure
+// linear test. It has no visit record to consume, so one parents-only walk
+// recomputes the forest parents Merge would take from the check.
 func (c *Classes) MergeSimple(a, b ir.VarID) ir.VarID {
 	ra, rb := c.Find(a), c.Find(b)
 	if ra == rb {
 		return ra
 	}
+	c.walk(c.Members(ra), c.Members(rb), walkParents)
+	for _, v := range c.visited {
+		c.fpar[v] = c.visitPar[v]
+	}
 	return c.link(ra, rb, c.mergeRoots(ra, rb))
+}
+
+// DefMoved tells the checker and the classes that the definition point of
+// v changed or was just created (virtualized materialization). A move that
+// keeps v's class in pre-DFS order leaves its forest intact: v's dominance
+// relation to every earlier member and to every later one is unchanged. A
+// move that breaks the order puts v back in place and recomputes the
+// class's parents and equal-intersecting-ancestor chains.
+func (c *Classes) DefMoved(v ir.VarID) {
+	c.chk.DefMoved(v)
+	c.checked = [2]ir.VarID{}
+	root := c.Find(v)
+	if l := c.lists[root]; l != nil {
+		i := slices.Index(l, v)
+		if (i > 0 && c.less(v, l[i-1])) || (i < len(l)-1 && c.less(l[i+1], v)) {
+			l = slices.Delete(l, i, i+1)
+			l = slices.Insert(l, c.searchAfter(l, v), v)
+			c.lists[root] = l
+			c.recomputeEqualAnc(l)
+		}
+	}
+	if checkHook != nil {
+		checkHook(c, root)
+	}
 }
 
 // link performs the union-find merge of roots ra and rb with the merged
@@ -64,12 +105,20 @@ func (c *Classes) link(ra, rb ir.VarID, merged []ir.VarID) ir.VarID {
 		c.reg[ra] = rr
 		c.reg[rb] = ""
 	}
+	c.checked = [2]ir.VarID{}
 	c.parent[rb] = ra
 	c.size[ra] += c.size[rb]
 	c.lists[ra] = merged
 	c.lists[rb] = nil
+	if checkHook != nil {
+		checkHook(c, ra)
+	}
 	return ra
 }
+
+// checkHook, set only by the package's tests, runs on the class of v after
+// every merge and definition move.
+var checkHook func(c *Classes, v ir.VarID)
 
 // mergeRoots merges the pre-DFS-ordered member lists of roots ra and rb in
 // linear time, retiring both roots' list storage. The merge lands in one of
@@ -119,18 +168,19 @@ func (c *Classes) mergeForward(out, x, y []ir.VarID) []ir.VarID {
 
 // mergeBackward merges x and y into out, where x occupies the front of
 // out's backing array. Writing from the back, the write index always stays
-// ahead of the unread suffix of x; once y is exhausted the remaining prefix
+// ahead of the unread prefix of x: each member of y, last first, is placed
+// after the block of x's remaining members that follow it, found by binary
+// search and moved with one copy. Once y is exhausted the remaining prefix
 // of x is already in place.
 func (c *Classes) mergeBackward(out, x, y []ir.VarID) []ir.VarID {
-	i, j := len(x)-1, len(y)-1
-	for k := len(out) - 1; j >= 0; k-- {
-		if i >= 0 && c.less(y[j], x[i]) {
-			out[k] = x[i]
-			i--
-		} else {
-			out[k] = y[j]
-			j--
-		}
+	i, k := len(x), len(out) // x[:i] unread, out[k:] written
+	for j := len(y) - 1; j >= 0; j-- {
+		p := c.searchAfter(x[:i], y[j])
+		k -= i - p
+		copy(out[k:], x[p:i])
+		i = p
+		k--
+		out[k] = y[j]
 	}
 	return out
 }
@@ -156,9 +206,10 @@ func (c *Classes) maxPre(x, y ir.VarID) ir.VarID {
 	}
 }
 
-// recomputeEqualAnc rebuilds equalAncIn for a class given as a pre-DFS
-// ordered list, by simulating the dominance-forest traversal and scanning
-// the ancestor stack for the nearest same-value intersecting member.
+// recomputeEqualAnc rebuilds equalAncIn and the forest parents for a class
+// given as a pre-DFS ordered list, by simulating the dominance-forest
+// traversal and scanning the ancestor stack for the nearest same-value
+// intersecting member.
 func (c *Classes) recomputeEqualAnc(list []ir.VarID) {
 	dom := c.takeStack()
 	for _, cur := range list {
@@ -166,6 +217,10 @@ func (c *Classes) recomputeEqualAnc(list []ir.VarID) {
 			dom = dom[:len(dom)-1]
 		}
 		c.equalAncIn[cur] = ir.NoVar
+		c.fpar[cur] = ir.NoVar
+		if len(dom) > 0 {
+			c.fpar[cur] = dom[len(dom)-1].v
+		}
 		for i := len(dom) - 1; i >= 0; i-- {
 			anc := dom[i].v
 			if c.chk.Value(anc) == c.chk.Value(cur) && c.chk.Intersect(anc, cur) {

@@ -53,3 +53,38 @@ func TestEveryStrategyCountsQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestReferenceQueriesByteIdentical runs the default options with and
+// without ReferenceQueries — the optimized query path (prefix-skipping
+// class checks, packed keys, pooled storage) against the full-walk
+// baseline — on large functions. The output text and every Stats counter,
+// IntersectionTests included, must be identical; only the wall-clock
+// fields may differ.
+func TestReferenceQueriesByteIdentical(t *testing.T) {
+	funcs := cfggen.GenerateLarge(cfggen.LargeTranslateProfile("identity", 977, 0.4))
+	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
+	ref := opt
+	ref.ReferenceQueries = true
+	run := func(f *ir.Func, opt core.Options) (string, core.Stats) {
+		f = ir.Clone(f)
+		st, err := core.Translate(f, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		st.InsertNanos, st.AnalyzeNanos, st.CoalesceNanos, st.RewriteNanos = 0, 0, 0, 0
+		return f.String(), *st
+	}
+	for _, f := range funcs {
+		gotText, gotStats := run(f, opt)
+		wantText, wantStats := run(f, ref)
+		if gotText != wantText {
+			t.Fatalf("%s: output differs from the ReferenceQueries run", f.Name)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("%s: stats differ:\n got %+v\nwant %+v", f.Name, gotStats, wantStats)
+		}
+		if gotStats.IntersectionTests == 0 {
+			t.Fatalf("%s: no intersection tests counted", f.Name)
+		}
+	}
+}

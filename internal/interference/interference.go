@@ -109,8 +109,9 @@ func (c *Checker) refreshKey(v ir.VarID) {
 }
 
 // DefMoved tells the checker that the definition point of v changed (or was
-// just created) — the virtualized translator calls it after ReplaceDef /
-// AddDef so the packed keys stay in sync with the def-use index.
+// just created) — the virtualized translator calls it, through
+// congruence.Classes.DefMoved, after ReplaceDef / AddDef so the packed keys
+// stay in sync with the def-use index.
 func (c *Checker) DefMoved(v ir.VarID) {
 	if c.Reference {
 		return // the reference path derives per query; no cache to maintain
@@ -228,7 +229,7 @@ func (c *Checker) DefDominates(a, b ir.VarID) bool {
 	ka, kb := c.defKey[a], c.defKey[b]
 	if ka>>32 == kb>>32 {
 		// Same preorder number means same block — except for the shared
-		// "unreachable" sentinel, where block identity must be recheckd.
+		// "unreachable" sentinel, where block identity must be rechecked.
 		if c.defPre[a] < 0 && c.DU.DefBlock(a) != c.DU.DefBlock(b) {
 			return false
 		}

@@ -5,6 +5,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,7 +158,10 @@ func TestQueueAdmitsThenSheds(t *testing.T) {
 
 // TestConcurrentStatsIntegrity hammers translate, batch, bad requests, and
 // stats scrapes concurrently (run under -race in CI) and then checks the
-// books balance: every issued request is accounted exactly once.
+// books balance: every issued request is accounted exactly once. With 40
+// admissible requests against 4 slots and a 16-deep queue some may be
+// rejected with 429, so the client tallies every status and the server's
+// counters must match those tallies exactly.
 func TestConcurrentStatsIntegrity(t *testing.T) {
 	s := New(Config{MaxInFlight: 4})
 	ts := httptest.NewServer(s)
@@ -165,31 +169,59 @@ func TestConcurrentStatsIntegrity(t *testing.T) {
 	src := testSource(t)
 	batchSrc := src + "\n" + strings.ReplaceAll(src, "func ", "func second_")
 
+	var mu sync.Mutex
+	statuses := map[int]int{}    // translate and batch responses by status
+	badStatuses := map[int]int{} // unparsable translate requests by status
+	var funcsOK int64            // functions in the 200 responses
+	send := func(path, body string) (int, []byte) {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return resp.StatusCode, data
+	}
+
 	const perKind = 20
 	var wg sync.WaitGroup
 	for i := 0; i < perKind; i++ {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			resp := post(t, ts.URL, src)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/batch?quiet=true", "text/plain", strings.NewReader(batchSrc))
-			if err != nil {
-				t.Error(err)
-				return
+			code, _ := send("/v1/translate", src)
+			mu.Lock()
+			defer mu.Unlock()
+			statuses[code]++
+			if code == http.StatusOK {
+				funcsOK++
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
 		}()
 		go func() {
 			defer wg.Done()
-			resp := post(t, ts.URL, "this does not parse")
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			code, body := send("/v1/batch?quiet=true", batchSrc)
+			var sum BatchSummary
+			if code == http.StatusOK {
+				lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+				if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil || !sum.Done {
+					t.Errorf("batch summary %q: %v", lines[len(lines)-1], err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			statuses[code]++
+			funcsOK += int64(sum.OK)
+		}()
+		go func() {
+			defer wg.Done()
+			code, _ := send("/v1/translate", "this does not parse")
+			mu.Lock()
+			defer mu.Unlock()
+			badStatuses[code]++
 		}()
 		go func() {
 			defer wg.Done()
@@ -204,19 +236,31 @@ func TestConcurrentStatsIntegrity(t *testing.T) {
 	}
 	wg.Wait()
 
+	for code := range statuses {
+		if code != http.StatusOK && code != http.StatusTooManyRequests {
+			t.Fatalf("translate/batch statuses %v: want only 200 and 429", statuses)
+		}
+	}
+	if badStatuses[http.StatusBadRequest] != perKind {
+		t.Fatalf("unparsable requests answered %v, want %d x 400", badStatuses, perKind)
+	}
 	st := s.statsResponse()
 	if st.Requests.Translate != 2*perKind || st.Requests.Batch != perKind {
 		t.Fatalf("request counters: %+v", st.Requests)
 	}
 	admitted := st.Requests.OK + st.Requests.Failed + st.Requests.Canceled
-	if admitted != 2*perKind || st.Requests.BadRequest != perKind {
+	if admitted+st.Requests.Overloaded != 2*perKind || st.Requests.BadRequest != perKind {
 		t.Fatalf("admission books don't balance: %+v", st.Requests)
+	}
+	if st.Requests.OK != int64(statuses[http.StatusOK]) ||
+		st.Requests.Overloaded != int64(statuses[http.StatusTooManyRequests]) {
+		t.Fatalf("server counters %+v disagree with the client's statuses %v", st.Requests, statuses)
 	}
 	if st.Latency.Count != admitted {
 		t.Fatalf("latency count %d != admitted %d", st.Latency.Count, admitted)
 	}
-	if want := int64(3 * perKind); st.Functions.OK != want {
-		t.Fatalf("functions ok = %d, want %d", st.Functions.OK, want)
+	if st.Functions.OK != funcsOK {
+		t.Fatalf("functions ok = %d, want %d (the functions in the 200 responses)", st.Functions.OK, funcsOK)
 	}
 }
 
