@@ -42,6 +42,18 @@ import (
 	"repro/outofssa/serve"
 )
 
+// Connection bounds for both listeners. ReadHeaderTimeout closes a
+// connection whose request headers have not arrived in time, so a client
+// that trickles bytes cannot hold a connection (and its goroutine)
+// forever; IdleTimeout closes keep-alive connections left unused between
+// requests. Request bodies are not bounded here: a large batch may
+// legitimately upload for longer, and per-request work has its own
+// deadline (-timeout).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ssad: ")
@@ -87,6 +99,11 @@ func main() {
 	}, *drain, *memoFile))
 }
 
+// newServer returns an http.Server for h with the daemon's connection bounds.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // run owns the daemon's lifetime (and the deferred profile writers, which
 // would be truncated by an os.Exit in main).
 func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile string) int {
@@ -110,7 +127,7 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 		log.Print(err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: s}
+	httpSrv := newServer(s)
 
 	var adminSrv *http.Server
 	if admin != "" {
@@ -119,7 +136,7 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 			log.Print(err)
 			return 1
 		}
-		adminSrv = &http.Server{Handler: s.AdminHandler()}
+		adminSrv = newServer(s.AdminHandler())
 		log.Printf("admin (pprof, stats) on http://%s", aln.Addr())
 		go func() {
 			if err := adminSrv.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -38,7 +38,6 @@ func Build(f *ir.Func) *Tree {
 		t.rpoPos[i] = -1
 	}
 
-	// Postorder DFS from the entry, iterative to tolerate deep CFGs.
 	post := postorder(f)
 	t.rpo = make([]int, len(post))
 	for i, b := range post {
@@ -120,6 +119,68 @@ func (t *Tree) intersect(a, b int) int {
 		}
 	}
 	return a
+}
+
+// postorder returns the reachable blocks of f in DFS postorder from the
+// entry, iteratively to tolerate deep CFGs.
+func postorder(f *ir.Func) []int {
+	n := len(f.Blocks)
+	post := make([]int, 0, n)
+	seen := make([]bool, n)
+	type frame struct {
+		b    *ir.Block
+		next int
+	}
+	stack := []frame{{b: f.Entry()}}
+	seen[f.Entry().ID] = true
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		if fr.next < len(fr.b.Succs) {
+			s := fr.b.Succs[fr.next]
+			fr.next++
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		post = append(post, fr.b.ID)
+		stack = stack[:len(stack)-1]
+	}
+	return post
+}
+
+// number assigns pre/post DFS numbers over the dominator tree.
+func (t *Tree) number() {
+	n := len(t.f.Blocks)
+	t.pre = make([]int32, n)
+	t.post = make([]int32, n)
+	for i := range t.pre {
+		t.pre[i] = -1
+		t.post[i] = -1
+	}
+	entry := t.f.Entry().ID
+	var clock int32
+	type nframe struct {
+		b, next int
+	}
+	nstack := []nframe{{b: entry}}
+	t.pre[entry] = clock
+	clock++
+	for len(nstack) > 0 {
+		fr := &nstack[len(nstack)-1]
+		if fr.next < len(t.children[fr.b]) {
+			c := t.children[fr.b][fr.next]
+			fr.next++
+			t.pre[c] = clock
+			clock++
+			nstack = append(nstack, nframe{b: c})
+			continue
+		}
+		t.post[fr.b] = clock
+		clock++
+		nstack = nstack[:len(nstack)-1]
+	}
 }
 
 // Func returns the function the tree was built for.

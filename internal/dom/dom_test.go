@@ -1,7 +1,6 @@
 package dom_test
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -140,34 +139,80 @@ func slowDominates(f *ir.Func, a, b int) bool {
 	return true // b unreachable without a
 }
 
-// TestDominanceAgainstDefinition checks Build's O(1) queries against the
-// brute-force definition on generated CFGs.
+// reachable marks the blocks reachable from the entry.
+func reachable(f *ir.Func) []bool {
+	seen := make([]bool, len(f.Blocks))
+	seen[f.Entry().ID] = true
+	stack := []int{f.Entry().ID}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range f.Blocks[x].Succs {
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, s.ID)
+			}
+		}
+	}
+	return seen
+}
+
+// TestDominanceAgainstDefinition checks Build against the brute-force
+// definition on every block pair: reachability, Dominates, and each IDom
+// exactly — it strictly dominates its block and is dominated by every other
+// strict dominator of it. The inputs are the diamond-and-loop graph plus two
+// generated suites.
 func TestDominanceAgainstDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	funcs := cfggen.Generate(cfggen.DefaultProfile("dom", 11))
+	funcs := []*ir.Func{ir.MustParse(diamond)}
+	funcs = append(funcs, cfggen.Generate(cfggen.DefaultProfile("dom", 11))...)
+	for seed := int64(0); seed < 4; seed++ {
+		p := cfggen.DefaultProfile("dom", 900+seed)
+		p.Funcs = 5
+		funcs = append(funcs, cfggen.Generate(p)...)
+	}
 	for _, f := range funcs {
 		dt := dom.Build(f)
 		n := len(f.Blocks)
-		for trial := 0; trial < 200; trial++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if !dt.Reachable(a) || !dt.Reachable(b) {
-				continue
-			}
-			want := slowDominates(f, a, b)
-			if got := dt.Dominates(a, b); got != want {
-				t.Fatalf("%s: Dominates(%s, %s) = %v, want %v",
-					f.Name, f.Blocks[a].Name, f.Blocks[b].Name, got, want)
+		entry := f.Entry().ID
+		// An unreachable block is dominated by everything under the
+		// definition; Build reports it unreachable instead.
+		reach := reachable(f)
+		for b := range reach {
+			if dt.Reachable(b) != reach[b] {
+				t.Fatalf("%s: Reachable(%s) = %v, want %v", f.Name, f.Blocks[b].Name, dt.Reachable(b), reach[b])
 			}
 		}
-		// idom sanity: the immediate dominator strictly dominates its block
-		// and every other dominator of the block dominates the idom.
-		for _, b := range f.Blocks[1:] {
-			if !dt.Reachable(b.ID) {
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				if !reach[a] || !reach[b] {
+					continue
+				}
+				want := slowDominates(f, a, b)
+				if got := dt.Dominates(a, b); got != want {
+					t.Fatalf("%s: Dominates(%s, %s) = %v, want %v",
+						f.Name, f.Blocks[a].Name, f.Blocks[b].Name, got, want)
+				}
+			}
+		}
+		for b := 0; b < n; b++ {
+			if !reach[b] {
 				continue
 			}
-			id := dt.IDom(b.ID)
-			if id < 0 || !dt.StrictlyDominates(id, b.ID) {
-				t.Fatalf("%s: idom(%s) invalid", f.Name, b.Name)
+			id := dt.IDom(b)
+			if b == entry {
+				if id != -1 {
+					t.Fatalf("%s: entry has idom %d", f.Name, id)
+				}
+				continue
+			}
+			if id < 0 || id == b || !slowDominates(f, id, b) {
+				t.Fatalf("%s: idom(%s) = %d does not strictly dominate it", f.Name, f.Blocks[b].Name, id)
+			}
+			for a := 0; a < n; a++ {
+				if a != b && reach[a] && slowDominates(f, a, b) && !slowDominates(f, a, id) {
+					t.Fatalf("%s: idom(%s) = %s is not dominated by strict dominator %s",
+						f.Name, f.Blocks[b].Name, f.Blocks[id].Name, f.Blocks[a].Name)
+				}
 			}
 		}
 	}
@@ -209,34 +254,6 @@ func blockID(f *ir.Func, name string) int {
 		}
 	}
 	panic("no block " + name)
-}
-
-// TestLTMatchesCHK: the Lengauer-Tarjan construction must produce exactly
-// the same immediate dominators as the iterative one, on hand graphs and on
-// the generated suite.
-func TestLTMatchesCHK(t *testing.T) {
-	var funcs []*ir.Func
-	funcs = append(funcs, ir.MustParse(diamond))
-	for seed := int64(0); seed < 4; seed++ {
-		p := cfggen.DefaultProfile("lt", 900+seed)
-		p.Funcs = 5
-		funcs = append(funcs, cfggen.Generate(p)...)
-	}
-	for _, f := range funcs {
-		a := dom.Build(f)
-		b := dom.BuildLT(f)
-		for _, blk := range f.Blocks {
-			if a.IDom(blk.ID) != b.IDom(blk.ID) {
-				t.Fatalf("%s: idom(%s): CHK=%d LT=%d", f.Name, blk.Name,
-					a.IDom(blk.ID), b.IDom(blk.ID))
-			}
-			for _, other := range f.Blocks {
-				if a.Dominates(blk.ID, other.ID) != b.Dominates(blk.ID, other.ID) {
-					t.Fatalf("%s: Dominates(%s,%s) disagree", f.Name, blk.Name, other.Name)
-				}
-			}
-		}
-	}
 }
 
 // TestDominanceTransitivity is a quick property over generated graphs.

@@ -41,10 +41,6 @@ type DefUse struct {
 	defSlot  []int32
 	defInstr []*Instr
 	uses     [][]UseSite
-
-	// rep, when non-nil, is the opt-in patch-repair state (EnableRepair /
-	// RepairBlocks in defuse_repair.go).
-	rep *duRepair
 }
 
 // NewDefUse builds the index. The function must be in SSA form (each

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cfggen"
 	"repro/internal/ir"
 )
 
@@ -70,16 +71,16 @@ func TestFingerprintStructuralSensitivity(t *testing.T) {
 		e.Instrs = append(e.Instrs[:len(e.Instrs)-1],
 			&ir.Instr{Op: ir.OpConst, Defs: []ir.VarID{v}, Aux: 9},
 			e.Instrs[len(e.Instrs)-1])
-		f.MarkBlockMutated(e)
+		f.MarkCodeMutated()
 	})
 	edit("changed aux", func(f *ir.Func) {
 		f.Blocks[1].Instrs[0].Aux = 42
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 	edit("changed operand", func(f *ir.Func) {
 		in := f.Blocks[1].Instrs[1] // a = add x one
 		in.Uses[0] = in.Uses[1]
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 	edit("swapped successors", func(f *ir.Func) {
 		e := f.Entry()
@@ -92,18 +93,19 @@ func TestFingerprintStructuralSensitivity(t *testing.T) {
 	})
 	edit("block frequency", func(f *ir.Func) {
 		f.Blocks[1].Freq = 100
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 }
 
-// TestFingerprintIncrementalMatchesFull: a fingerprint patched from the
-// dirty-block log must equal the from-scratch fingerprint of the same
-// structure (computed on a clone, whose poisoned log forces the full path).
+// TestFingerprintIncrementalMatchesFull: after each of a sequence of
+// random edits marked with MarkCodeMutated, the function's cached
+// fingerprint must equal the fingerprint of a fresh clone — a cache that
+// missed an edit would hand a memoized translation to the wrong input.
 func TestFingerprintIncrementalMatchesFull(t *testing.T) {
 	f := ir.MustParse(fpDiamondSrc)
 	rng := rand.New(rand.NewSource(41))
 	for step := 0; step < 40; step++ {
-		_ = f.Fingerprint() // seed/refresh the per-block summand cache
+		_ = f.Fingerprint() // fill the cache before the edit
 		b := f.Blocks[rng.Intn(len(f.Blocks))]
 		n := len(b.Instrs)
 		switch rng.Intn(2) {
@@ -114,149 +116,34 @@ func TestFingerprintIncrementalMatchesFull(t *testing.T) {
 		case 1:
 			b.Instrs[0].Aux = int64(rng.Intn(1000))
 		}
-		f.MarkBlockMutated(b)
+		f.MarkCodeMutated()
 
-		got := f.Fingerprint() // incremental: valid cache + dirty log
+		got := f.Fingerprint()
 		want := ir.Clone(f).Fingerprint()
 		if got != want {
-			t.Fatalf("step %d: incremental fingerprint %v != full %v", step, got, want)
+			t.Fatalf("step %d: cached fingerprint %v != fresh %v", step, got, want)
 		}
 	}
 }
 
-// TestDirtySince covers the dirty-block log contract: per-block records
-// until capacity, wholesale poisoning by code/CFG marks, and the ok=false
-// signal for generations before the floor.
-func TestDirtySince(t *testing.T) {
-	f := ir.MustParse(fpDiamondSrc)
-
-	// The parse itself mutated wholesale; a generation captured now is at
-	// the floor and usable.
-	g := f.CodeGen()
-	if dirty, ok := f.DirtySince(g, nil); !ok || len(dirty) != 0 {
-		t.Fatalf("clean function: dirty=%v ok=%v", dirty, ok)
-	}
-
-	f.MarkBlockMutated(f.Blocks[1])
-	f.MarkBlockMutated(f.Blocks[2])
-	f.MarkBlockMutated(f.Blocks[1]) // duplicate must dedupe
-	dirty, ok := f.DirtySince(g, nil)
-	if !ok || len(dirty) != 2 {
-		t.Fatalf("after two block edits: dirty=%v ok=%v", dirty, ok)
-	}
-	seen := map[int32]bool{dirty[0]: true, dirty[1]: true}
-	if !seen[1] || !seen[2] {
-		t.Fatalf("wrong dirty blocks: %v", dirty)
-	}
-
-	// A wholesale code mark poisons every older generation.
-	f.MarkCodeMutated()
-	if _, ok := f.DirtySince(g, nil); ok {
-		t.Fatal("generation before a wholesale mark must not be repairable")
-	}
-	g = f.CodeGen()
-	if dirty, ok := f.DirtySince(g, nil); !ok || len(dirty) != 0 {
-		t.Fatalf("fresh generation after poison: dirty=%v ok=%v", dirty, ok)
-	}
-
-	// Overflowing the log poisons too.
-	for i := 0; i < 100; i++ {
-		f.MarkBlockMutated(f.Blocks[0])
-	}
-	if _, ok := f.DirtySince(g, nil); ok {
-		t.Fatal("overflowed log must report not-repairable")
-	}
-}
-
-// TestDefUseRepairMatchesFresh: random additive edit sequences, repaired
-// via RepairBlocks from the dirty set, must leave the index identical to a
-// from-scratch NewDefUse — including φ uses recorded at predecessor blocks.
-func TestDefUseRepairMatchesFresh(t *testing.T) {
-	srcs := []string{fpDiamondSrc, `
-func l {
-entry:
-  a = param 0
-  b = const 1
-  jump head
-head:
-  x = phi entry:a latch:y
-  c = cmplt x b
-  br c body exit
-body:
-  y = add x b
-  jump latch
-latch:
-  print y
-  jump head
-exit:
-  print a
-  ret x
-}
-`}
-	for _, src := range srcs {
-		f := ir.MustParse(src)
-		du := ir.NewDefUse(f)
-		du.EnableRepair()
-		rng := rand.New(rand.NewSource(17))
-		params := []ir.VarID{f.Blocks[0].Instrs[0].Defs[0]} // entry-defined, dominates everything
-
-		g := f.CodeGen()
-		for step := 0; step < 60; step++ {
-			b := f.Blocks[rng.Intn(len(f.Blocks))]
-			n := len(b.Instrs)
-			switch rng.Intn(3) {
-			case 0: // fresh def + use
-				v := f.NewDerivedVar(params[0])
-				b.Instrs = append(b.Instrs[:n-1],
-					&ir.Instr{Op: ir.OpCopy, Defs: []ir.VarID{v}, Uses: []ir.VarID{params[0]}},
-					b.Instrs[n-1])
-			case 1: // extra use of an entry-dominating var
-				b.Instrs = append(b.Instrs[:n-1],
-					&ir.Instr{Op: ir.OpPrint, Uses: []ir.VarID{params[rng.Intn(len(params))]}},
-					b.Instrs[n-1])
-			case 2: // retarget an existing non-φ use
-				for _, in := range b.Instrs {
-					if in.Op == ir.OpPrint {
-						in.Uses[0] = params[rng.Intn(len(params))]
-						break
-					}
-				}
-			}
-			// NewVar (case 0) poisons the log wholesale; re-anchor the
-			// generation on those steps and repair the block directly.
-			dirty, ok := f.DirtySince(g, nil)
-			if !ok {
-				dirty = []int32{int32(b.ID)}
-			}
-			f.MarkBlockMutated(b)
-			if d2, ok2 := f.DirtySince(g, nil); ok2 {
-				dirty = d2
-			}
-			du.RepairBlocks(dirty)
-			g = f.CodeGen()
-
-			want := ir.NewDefUse(f)
-			for v := range f.Vars {
-				vid := ir.VarID(v)
-				if du.HasDef(vid) != want.HasDef(vid) {
-					t.Fatalf("step %d: var %s HasDef mismatch", step, f.VarName(vid))
-				}
-				if du.HasDef(vid) && (du.DefBlock(vid) != want.DefBlock(vid) || du.DefSlot(vid) != want.DefSlot(vid)) {
-					t.Fatalf("step %d: var %s def site mismatch: (%d,%d) vs (%d,%d)",
-						step, f.VarName(vid), du.DefBlock(vid), du.DefSlot(vid),
-						want.DefBlock(vid), want.DefSlot(vid))
-				}
-				a, w := du.Uses(vid), want.Uses(vid)
-				if len(a) != len(w) {
-					t.Fatalf("step %d: var %s has %d uses, want %d", step, f.VarName(vid), len(a), len(w))
-				}
-				for i := range a {
-					if a[i].Block != w[i].Block || a[i].Slot != w[i].Slot {
-						t.Fatalf("step %d: var %s use %d at (%d,%d), want (%d,%d)",
-							step, f.VarName(vid), i, a[i].Block, a[i].Slot, w[i].Block, w[i].Slot)
-					}
-				}
-			}
+// TestFingerprintGolden pins exact fingerprint values. Memo keys and
+// persisted -memo-file snapshots are keyed by them, so any change to the
+// hash formula must show up here rather than as silent memo misses after
+// an upgrade.
+func TestFingerprintGolden(t *testing.T) {
+	p := cfggen.DefaultProfile("golden", 7)
+	dups := cfggen.GenerateNearDuplicates(cfggen.NearDuplicateProfile{Base: p, Clones: 2, EditSeed: 5})
+	for _, tc := range []struct {
+		name string
+		f    *ir.Func
+		want ir.Fingerprint
+	}{
+		{"diamond", ir.MustParse(fpDiamondSrc), ir.Fingerprint{Hi: 0x15bb9f87241488cf, Lo: 0xafca383312432f01}},
+		{"generated", cfggen.Generate(p)[0], ir.Fingerprint{Hi: 0x697e616296c3039e, Lo: 0x92f6181174dde7a0}},
+		{"dead-copy clone", dups[2], ir.Fingerprint{Hi: 0x5fde2f4d3829f6c2, Lo: 0x43ef498c89819b06}},
+	} {
+		if got := tc.f.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %#x/%#x, want %#x/%#x", tc.name, got.Hi, got.Lo, tc.want.Hi, tc.want.Lo)
 		}
 	}
 }

@@ -153,9 +153,6 @@ type Pipeline struct {
 // New assembles a pipeline from the given passes.
 func New(passes ...Pass) *Pipeline { return &Pipeline{passes: passes} }
 
-// Passes returns the pipeline's passes in order.
-func (p *Pipeline) Passes() []Pass { return p.passes }
-
 // Run pushes f through the pipeline and returns the final context. ctx
 // cancellation is observed between passes: a canceled run returns the
 // context's error and leaves the function in whatever state the completed
