@@ -231,178 +231,6 @@ func BenchmarkAblationClassInterference(b *testing.B) {
 	b.Run("Quadratic", func(b *testing.B) { run(b, false) })
 }
 
-var (
-	liveCorpusOnce sync.Once
-	liveCorpus     []bench.LivenessCase
-)
-
-// livenessWorkload returns the large-CFG corpus of the liveness trajectory
-// at a bench-friendly scale (still hundreds of blocks per function).
-func livenessWorkload() []bench.LivenessCase {
-	liveCorpusOnce.Do(func() { liveCorpus = bench.LivenessCorpus(0.1) })
-	return liveCorpus
-}
-
-// BenchmarkLiveness measures the worklist liveness engine against the
-// pre-worklist round-robin reference on the synthetic large-CFG corpus,
-// for both set backends — the testing.B twin of
-// `ssabench -fig liveness` / BENCH_liveness.json.
-func BenchmarkLiveness(b *testing.B) {
-	engines := []struct {
-		name string
-		run  func(*ir.Func, liveness.Backend) *liveness.Info
-	}{
-		{"Worklist", func(f *ir.Func, be liveness.Backend) *liveness.Info {
-			return liveness.ComputeWith(f, be)
-		}},
-		{"Reference", liveness.ComputeReference},
-	}
-	backends := []struct {
-		name string
-		be   liveness.Backend
-	}{
-		{"Bitsets", liveness.Bitsets},
-		{"Ordered", liveness.OrderedSets},
-	}
-	for _, eng := range engines {
-		for _, bk := range backends {
-			b.Run(eng.name+"/"+bk.name, func(b *testing.B) {
-				corpus := livenessWorkload()
-				b.ReportAllocs()
-				b.ResetTimer()
-				pops := 0
-				for i := 0; i < b.N; i++ {
-					pops = 0
-					for _, c := range corpus {
-						pops += eng.run(c.Func(), bk.be).Pops
-					}
-				}
-				b.ReportMetric(float64(pops), "fixpoint-pops")
-			})
-		}
-	}
-}
-
-var (
-	coalCorpusOnce sync.Once
-	coalCorpus     []bench.CoalesceCase
-)
-
-// coalesceWorkload returns the φ/copy-dense corpus of the coalescing
-// trajectory at a bench-friendly scale.
-func coalesceWorkload() []bench.CoalesceCase {
-	coalCorpusOnce.Do(func() { coalCorpus = bench.CoalesceCorpus(0.1) })
-	return coalCorpus
-}
-
-// BenchmarkCoalesce measures the optimized interference query path
-// (binary-search LiveAfter, packed def-point keys, pooled congruence
-// scratch) against the kept reference path on the φ/copy-dense corpus, for
-// both liveness backends — the testing.B twin of `ssabench -fig coalesce` /
-// BENCH_coalesce.json.
-func BenchmarkCoalesce(b *testing.B) {
-	for _, eng := range []struct {
-		name      string
-		reference bool
-	}{{"Optimized", false}, {"Reference", true}} {
-		for _, bk := range []struct {
-			name      string
-			livecheck bool
-		}{{"LiveCheck", true}, {"Liveness", false}} {
-			b.Run(eng.name+"/"+bk.name, func(b *testing.B) {
-				corpus := coalesceWorkload()
-				chks := make([]*interference.Checker, len(corpus))
-				for i := range corpus {
-					chks[i] = corpus[i].NewChecker(eng.reference, bk.livecheck)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				queries := 0
-				for i := 0; i < b.N; i++ {
-					for j := range corpus {
-						chks[j].Queries = 0
-						corpus[j].RunCoalesce(chks[j])
-						queries += chks[j].Queries
-					}
-				}
-				b.ReportMetric(float64(queries)/float64(b.N), "pair-queries")
-			})
-		}
-	}
-}
-
-var (
-	transCorpusOnce sync.Once
-	transCorpus     []bench.TranslateCase
-)
-
-// translateWorkload returns the end-to-end corpus of the translate
-// trajectory at a bench-friendly scale.
-func translateWorkload() []bench.TranslateCase {
-	transCorpusOnce.Do(func() { transCorpus = bench.TranslateCorpus(0.1) })
-	return transCorpus
-}
-
-// BenchmarkTranslate measures end-to-end clone+translate steady state —
-// the pooled-scratch/slab allocation path (CloneInto + TranslateInto with
-// one reused core.Scratch) against the kept pre-pooling reference
-// (Clone + ReferenceAlloc) — for the default Sharing strategy and the
-// virtualized Sreedhar III baseline. The testing.B twin of
-// `ssabench -fig translate` / BENCH_translate.json.
-func BenchmarkTranslate(b *testing.B) {
-	strategies := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"Sharing", core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}},
-		{"SreedharIII", core.Options{Strategy: core.SreedharIII, Virtualize: true, UseGraph: true}},
-	}
-	for _, s := range strategies {
-		b.Run("Pooled/"+s.name, func(b *testing.B) {
-			corpus := translateWorkload()
-			sc := core.NewScratch()
-			dsts := make([]*ir.Func, len(corpus))
-			for i := range dsts {
-				dsts[i] = ir.NewFunc("")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			copies := 0
-			for i := 0; i < b.N; i++ {
-				copies = 0
-				for j := range corpus {
-					ir.CloneInto(dsts[j], corpus[j].Func())
-					st, err := core.TranslateInto(dsts[j], s.opt, nil, sc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					copies += st.FinalCopies
-				}
-			}
-			b.ReportMetric(float64(copies), "final-copies")
-		})
-		b.Run("Reference/"+s.name, func(b *testing.B) {
-			corpus := translateWorkload()
-			opt := s.opt
-			opt.ReferenceAlloc = true
-			b.ReportAllocs()
-			b.ResetTimer()
-			copies := 0
-			for i := 0; i < b.N; i++ {
-				copies = 0
-				for j := range corpus {
-					st, err := core.Translate(ir.Clone(corpus[j].Func()), opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					copies += st.FinalCopies
-				}
-			}
-			b.ReportMetric(float64(copies), "final-copies")
-		})
-	}
-}
-
 // BenchmarkAblationLiveness compares constructing dataflow liveness sets
 // (bit sets and ordered sets) against the CFG-only liveness checker.
 func BenchmarkAblationLiveness(b *testing.B) {

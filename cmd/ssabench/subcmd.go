@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -12,10 +13,11 @@ import (
 	"repro/outofssa/bench/store"
 )
 
-// storeCmd implements `ssabench store <list|snapshot|export>`.
-func storeCmd(args []string) int {
+// storeCmd implements `ssabench store <list|snapshot|export|import>`;
+// import reads in.
+func storeCmd(args []string, in io.Reader) int {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "ssabench store: need a subcommand: list, snapshot, export")
+		fmt.Fprintln(os.Stderr, "ssabench store: need a subcommand: list, snapshot, export, import")
 		return 2
 	}
 	sub, rest := args[0], args[1:]
@@ -27,7 +29,7 @@ func storeCmd(args []string) int {
 		return storeList(*dir)
 	case "snapshot":
 		name := fs.String("name", "", "snapshot name to assign")
-		ref := fs.String("ref", "latest", "run to name: latest, latest:<trajectory>, an id prefix, or an existing snapshot")
+		ref := fs.String("ref", "latest", "run to name: latest, an id prefix, or an existing snapshot")
 		fs.Parse(rest)
 		if *name == "" {
 			fmt.Fprintln(os.Stderr, "ssabench store snapshot: -name is required")
@@ -70,10 +72,37 @@ func storeCmd(args []string) int {
 			fmt.Printf("exported %s to %s\n", *ref, *out)
 		}
 		return 0
+	case "import":
+		workload := fs.String("workload", "", "perfbench workload the result lines come from (required)")
+		fs.Parse(rest)
+		return storeImport(*dir, *workload, in)
 	default:
-		fmt.Fprintf(os.Stderr, "ssabench store: unknown subcommand %q (list, snapshot, export)\n", sub)
+		fmt.Fprintf(os.Stderr, "ssabench store: unknown subcommand %q (list, snapshot, export, import)\n", sub)
 		return 2
 	}
+}
+
+// storeImport appends the perfbench result lines read from in to the store
+// as one envelope.
+func storeImport(dir, workload string, in io.Reader) int {
+	rep, err := bench.ImportPerfbench(in, workload)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
+		return 1
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
+		return 1
+	}
+	id, err := st.Append(rep)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
+		return 1
+	}
+	fmt.Print(bench.FormatReport(rep))
+	fmt.Printf("stored %s (%s)\n", id, st.Dir())
+	return 0
 }
 
 func storeList(dir string) int {
@@ -108,16 +137,15 @@ func storeList(dir string) int {
 }
 
 // compareCmd implements `ssabench compare`: resolve two envelopes (files
-// or store references), apply the trajectory's standing policies, and exit
-// nonzero on any violation.
+// or store references), apply compare.PerfbenchPolicies, and exit nonzero
+// on any violation.
 func compareCmd(args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	dir := fs.String("store", store.DefaultDir, "bench store directory (for non-file references)")
 	baseRef := fs.String("baseline", "", "baseline: an envelope file, or a store reference")
 	candRef := fs.String("candidate", "latest", "candidate: an envelope file, or a store reference")
-	minEff := fs.Float64("mineff", 0.6, "scale trajectory: minimum parallel efficiency at 8 workers (0 disables)")
 	allowMismatch := fs.Bool("allow-machine-mismatch", false, "compare across machine shapes, skipping wall-clock gates")
-	inject := fs.String("inject", "", "synthetically regress one candidate metric, e.g. allocs_per_op=+50% (CI gate self-test)")
+	inject := fs.String("inject", "", "synthetically regress one candidate metric, e.g. funcs_per_s=-50% (CI gate self-test)")
 	fs.Parse(args)
 	if *baseRef == "" {
 		fmt.Fprintln(os.Stderr, "ssabench compare: -baseline is required")
@@ -142,7 +170,7 @@ func compareCmd(args []string) int {
 		fmt.Printf("injected synthetic regression: %s\n", *inject)
 	}
 	res, err := compare.Compare(baseline, candidate,
-		compare.DefaultPolicies(candidate.Trajectory, *minEff),
+		compare.PerfbenchPolicies(),
 		compare.Options{AllowMachineMismatch: *allowMismatch})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
@@ -173,9 +201,9 @@ func resolveReport(dir, ref string) (*bench.Report, error) {
 
 // injectRegression worsens one metric of the report in place. spec is
 // "metric=+P%" (or "-P%"): every sample of that metric is scaled by
-// 1+P/100, so +50% on allocs_per_op is a regression while -50% on
-// warm_speedup is one too — the sign follows the spec, the gate direction
-// follows the metric registry.
+// 1+P/100, so +10% on copies_weighted_per_func is a regression while -50%
+// on funcs_per_s is one too — the sign follows the spec, the gate
+// direction follows the metric registry.
 func injectRegression(rep *bench.Report, spec string) error {
 	name, pct, ok := strings.Cut(spec, "=")
 	if !ok {

@@ -17,5 +17,11 @@
 // the shared analysis cache of internal/analysis with a concurrent,
 // cancellable batch driver. cmd/ssabench regenerates the figures;
 // cmd/ssadump translates textual SSA functions; cmd/ssagen emits
-// generator output. See README.md and DESIGN.md for the map.
+// generator output; cmd/ssad serves translations over HTTP.
+//
+// The benchmark of the served system is perfbench/ (its own module,
+// workloads in BENCHMARK.json). `ssabench store import` keeps its results
+// in the bench store and `ssabench compare` gates them; the engine's hot
+// paths are gated by allocation bounds and golden counts in the tests.
+// See README.md and DESIGN.md for the map.
 package repro

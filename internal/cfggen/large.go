@@ -7,8 +7,8 @@ import (
 	"repro/internal/ssa"
 )
 
-// LargeProfile describes one synthetic large-CFG workload for the liveness
-// trajectory benchmarks: functions of thousands of blocks combining deeply
+// LargeProfile describes one synthetic large-CFG workload for the engine's
+// corpus tests and for perfbench's batch-large workload: functions of thousands of blocks combining deeply
 // nested loops, wide switch-like dispatches whose arms all rejoin in one
 // block (many-predecessor joins → dense φ pressure after SSA construction),
 // and a pool of shared variables mutated everywhere so their live ranges
@@ -31,7 +31,7 @@ type LargeProfile struct {
 	// FoldCopies is the per-copy probability that post-construction copy
 	// propagation folds it. Folding extends live ranges across the copy;
 	// the survivors stay in the program as coalescible affinities, so a
-	// *low* value yields the copy-dense shape the coalescing trajectory
+	// *low* value yields the copy-dense shape the coalescing corpus
 	// wants.
 	FoldCopies float64
 	// SwapShuffle is the per-loop-header probability of emitting a
@@ -44,8 +44,8 @@ type LargeProfile struct {
 	SwapShuffle float64
 }
 
-// LargeLivenessProfile returns the profile the BENCH_liveness trajectory
-// uses, scaled by scale (1 ≈ 4 functions of ~2000 blocks each).
+// LargeLivenessProfile returns the profile of the liveness corpus, scaled
+// by scale (1 ≈ 4 functions of ~2000 blocks each).
 func LargeLivenessProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(2000 * scale)
 	if blocks < 64 {
@@ -58,8 +58,8 @@ func LargeLivenessProfile(name string, seed int64, scale float64) LargeProfile {
 	}
 }
 
-// LargeCoalesceProfile returns the profile of the BENCH_coalesce
-// trajectory: wider switch joins (wide φs), a larger shared-variable pool
+// LargeCoalesceProfile returns the profile of the coalescing corpus:
+// wider switch joins (wide φs), a larger shared-variable pool
 // (dense φ pressure), and most copies kept unfolded (dense affinities), at
 // a smaller block budget — coalescing work grows faster than block count.
 // 1 ≈ 3 functions of ~800 blocks each.
@@ -75,8 +75,8 @@ func LargeCoalesceProfile(name string, seed int64, scale float64) LargeProfile {
 	}
 }
 
-// LargeTranslateProfile returns the profile of the BENCH_translate
-// trajectory: the end-to-end translation benchmark wants functions that
+// LargeTranslateProfile returns the profile of the end-to-end translation
+// corpus and of perfbench's batch-large workload: functions that
 // exercise every phase — φ pressure for copy insertion, kept copies for the
 // coalescer, and enough live-range interference (aggressive copy folding
 // extends ranges across the folded copies) that parallel copies survive
@@ -94,13 +94,10 @@ func LargeTranslateProfile(name string, seed int64, scale float64) LargeProfile 
 	}
 }
 
-// LargeScaleProfile returns the profile of the BENCH_scale multicore
-// trajectory: a batch of medium functions — the per-function work grain of
-// a realistic compile batch — rather than a handful of huge ones, so a
-// worker sweep has enough independent units to schedule. scale multiplies
-// the per-function block budget; the function count stays fixed so the
-// dispatch shape (shards, steal opportunities) is comparable across
-// scales. 1 ≈ 30 functions of ~240 blocks each.
+// LargeScaleProfile returns the profile of medium functions — the
+// per-function work grain of a realistic compile batch — that the batch
+// driver's work-stealing tests append as stragglers. scale multiplies the
+// per-function block budget. 1 ≈ 30 functions of ~240 blocks each.
 func LargeScaleProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(240 * scale)
 	if blocks < 32 {
@@ -190,7 +187,7 @@ func (g *largeGen) function(idx int) *ir.Func {
 	}
 	g.body(0)
 	// Read every shared variable at the exit so all of them stay live
-	// across the whole CFG — the dense-set stress the trajectory wants.
+	// across the whole CFG — the dense-set stress the profiles want.
 	for _, v := range g.shared {
 		g.bd.Print(v)
 	}

@@ -26,7 +26,7 @@
 // capacity, and retired arrays — member lists and, through Retire, the
 // per-variable storage — go to a pool instead of the garbage collector.
 // The per-merge-allocating, full-walk baseline survives behind the
-// Reference flag as the trajectory benchmark's fixed comparison point.
+// Reference flag as the differential tests' oracle.
 package congruence
 
 import (
@@ -48,7 +48,7 @@ type Classes struct {
 	// Reference disables the scratch reuse: every merge allocates a fresh
 	// exact-size member list, as the pre-pooling implementation did, and
 	// the linear checks walk both classes from their first members. The
-	// coalescing trajectory benchmark measures against it.
+	// differential tests compare against it.
 	Reference bool
 
 	epoch uint32

@@ -126,8 +126,7 @@ var checkHook func(c *Classes, v ir.VarID)
 // occupant is never overwritten before it is read); otherwise it goes to a
 // free-listed or fresh array with append-style headroom, so a class absorbs
 // many merges per allocation. Under Reference every merge allocates a fresh
-// exact-size list — the pre-pooling behaviour the trajectory benchmark
-// compares against.
+// exact-size list — the pre-pooling behaviour, kept as a test oracle.
 func (c *Classes) mergeRoots(ra, rb ir.VarID) []ir.VarID {
 	x, y := c.Members(ra), c.Members(rb)
 	need := len(x) + len(y)

@@ -22,8 +22,7 @@
 // compare packed per-variable def-point keys (preorder<<32|slot, cached in
 // the Checker) instead of chasing DefBlock→PreOrder indirections on every
 // call. The pre-optimization implementations survive as the *Reference
-// methods — the differential oracle of the tests and of the coalescing
-// trajectory benchmark — and the Reference flag reroutes the whole checker
+// methods — the differential oracle of the tests — and the Reference flag reroutes the whole checker
 // to them.
 package interference
 
@@ -56,7 +55,7 @@ type Checker struct {
 	// Reference answers every query with the pre-optimization
 	// implementations (linear use-list scans, per-query def-point
 	// derivation). Semantics are identical; only cost differs. It is the
-	// kept baseline of the coalescing trajectory benchmark.
+	// differential tests' oracle.
 	Reference bool
 
 	// Queries counts the live-range intersection tests performed, for the

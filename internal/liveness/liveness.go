@@ -347,9 +347,8 @@ func (sc *Scratch) runWorklist(f *ir.Func, info *Info, visit func(b int) bool) {
 
 // ComputeReference runs the pre-worklist engine: a naive round-robin
 // fixpoint in reverse block order with element-wise transfers. It is kept
-// as the differential-testing oracle for the worklist engine (and as the
-// baseline of the BENCH_liveness trajectory); results are identical, only
-// speed differs.
+// as the differential-testing oracle for the worklist engine; results are
+// identical, only speed differs.
 func ComputeReference(f *ir.Func, be Backend) *Info {
 	n := len(f.Blocks)
 	nv := len(f.Vars)

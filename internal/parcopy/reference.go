@@ -8,9 +8,8 @@ import (
 
 // SequentializeReference is the pre-scratch implementation of Algorithm 1:
 // map-based loc/pred tables and a freshly allocated duplicate-destination
-// set per run. It is kept as the differential oracle of the scratch engine
-// and as part of the fixed "reference" baseline of the translate trajectory
-// benchmark (core.Options.ReferenceAlloc). Results are identical to
+// set per run. It is kept as the differential oracle of the scratch engine,
+// reached through core.Options.ReferenceAlloc. Results are identical to
 // Scratch.Sequentialize; only allocation behavior differs.
 func SequentializeReference(dsts, srcs []ir.VarID, fresh func() ir.VarID) []Copy {
 	if len(dsts) != len(srcs) {
@@ -86,8 +85,7 @@ func SequentializeReference(dsts, srcs []ir.VarID, fresh func() ir.VarID) []Copy
 // SequentializeInstrReference is the pre-scratch instruction rewrite: it
 // heap-allocates one instruction and two operand slices per emitted copy
 // and splices them in by copying the block tail twice through nested
-// appends. Kept alongside SequentializeReference as the translate
-// trajectory's fixed baseline.
+// appends. Kept alongside SequentializeReference as a test oracle.
 func SequentializeInstrReference(f *ir.Func, b *ir.Block, idx int, fresh func() ir.VarID) []Copy {
 	in := b.Instrs[idx]
 	if in.Op != ir.OpParCopy {

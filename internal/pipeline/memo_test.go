@@ -4,13 +4,14 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfggen"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
 
-// memoDiffOpts are the two option sets the memo trajectory measures: the
+// memoDiffOpts are the two option sets the memo tests run: the
 // paper's recommended configuration and the virtualized Sreedhar III
 // baseline (exercising the def-use-preserving coalescer under the memo).
 var memoDiffOpts = []core.Options{
@@ -93,7 +94,8 @@ func TestMemoHitMatchesPlainPipeline(t *testing.T) {
 // TestMemoSharedAcrossBatchWorkers: a near-duplicate corpus pushed through
 // RunBatch with a shared memo must translate every function correctly at
 // any worker count, and the second pass over the same corpus must be all
-// hits. Run under -race this is also the concurrency check on the memo.
+// hits that run no out-of-SSA pass. Run under -race this is also the
+// concurrency check on the memo.
 func TestMemoSharedAcrossBatchWorkers(t *testing.T) {
 	corpus := cfggen.GenerateNearDuplicates(cfggen.NearDuplicateProfile{
 		Base:     cfggen.DefaultProfile("memobatch", 31),
@@ -129,9 +131,16 @@ func TestMemoSharedAcrossBatchWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: warm aggregate differs from cold:\n%+v\nvs\n%+v",
 				workers, zeroNanos(cold.Stats), zeroNanos(warm.Stats))
 		}
+		// A hit materializes the stored translation: no out-of-SSA phase
+		// runs, so the analysis cache sees no request at all.
 		for i, ctx := range warm.Contexts {
 			if !ctx.MemoHit {
 				t.Fatalf("workers=%d: %s missed on the second pass", workers, corpus[i].Name)
+			}
+			if ctx.Translation != nil || ctx.Cache.Hits != ([analysis.NumKinds]uint64{}) ||
+				ctx.Cache.Misses != ([analysis.NumKinds]uint64{}) {
+				t.Fatalf("workers=%d: %s hit the memo but ran the translation (cache hits %v misses %v)",
+					workers, corpus[i].Name, ctx.Cache.Hits, ctx.Cache.Misses)
 			}
 		}
 	}

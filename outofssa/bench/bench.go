@@ -4,6 +4,10 @@
 // of the public façade: its exported types use the aliases re-exported by
 // package outofssa (Strategy, Options, Stats, Func), so external consumers
 // never need an internal import.
+//
+// It also defines the report envelope of the bench store (Report, Env) and
+// ImportPerfbench, which turns perfbench result lines into one; the store
+// keeps envelopes and package compare gates them.
 package bench
 
 import (
@@ -16,7 +20,7 @@ import (
 )
 
 // Workers is the worker count handed to pipeline.RunBatch for the untimed
-// figures (5 and 7); 0 selects runtime.NumCPU. The timed Figure 6 always
+// figures (5 and 7); 0 selects GOMAXPROCS. The timed Figure 6 always
 // measures sequentially. Results are identical for any value — the batch
 // driver's aggregation is deterministic.
 var Workers = 0

@@ -1,10 +1,8 @@
 // Package compare is the statistical A/B half of the bench subsystem: a
 // benchstat-style comparison of two report envelopes (multiple samples per
 // metric, median + spread, Mann-Whitney significance annotation,
-// per-metric better-direction from the bench registry) plus a uniform
-// policy gate that subsumes the old ad-hoc per-trajectory checks — the
-// translate +20% allocation gate, the scale parallel-efficiency floor, the
-// memo warm-speedup/oracle gate, the serve smoke checks — as data.
+// per-metric better-direction from the bench registry) plus a policy gate
+// expressed as data (PerfbenchPolicies).
 //
 // Gate semantics: a Policy matches rows by (case, variant, metric) and
 // fires a violation when the candidate's median moved beyond MaxRegress in
@@ -86,8 +84,9 @@ func (r *Result) Messages() []string {
 
 // Compare runs the statistical comparison of candidate against baseline
 // and applies the policies. The envelopes must belong to the same
-// trajectory; machine-shape disagreement refuses unless
-// opts.AllowMachineMismatch.
+// trajectory and share at least one (case, variant) row — two different
+// perfbench workloads never compare; machine-shape disagreement refuses
+// unless opts.AllowMachineMismatch.
 func Compare(baseline, candidate *bench.Report, policies []Policy, opts Options) (*Result, error) {
 	if baseline == nil || candidate == nil {
 		return nil, fmt.Errorf("compare: nil report")
@@ -95,10 +94,6 @@ func Compare(baseline, candidate *bench.Report, policies []Policy, opts Options)
 	if baseline.Trajectory != candidate.Trajectory {
 		return nil, fmt.Errorf("compare: trajectory mismatch: baseline %q vs candidate %q",
 			baseline.Trajectory, candidate.Trajectory)
-	}
-	if baseline.Scale != candidate.Scale {
-		return nil, fmt.Errorf("compare: scale mismatch: baseline %g vs candidate %g — regenerate the baseline",
-			baseline.Scale, candidate.Scale)
 	}
 	if opts.Alpha == 0 {
 		opts.Alpha = 0.05
@@ -117,13 +112,15 @@ func Compare(baseline, candidate *bench.Report, policies []Policy, opts Options)
 			baseline.Env.MachineShape(), candidate.Env.MachineShape()))
 	}
 
-	pointWarned := false
+	pointWarned, shared := false, false
 	for ci := range candidate.Rows {
 		row := &candidate.Rows[ci]
 		base := findRow(baseline, row.Case, row.Variant)
+		shared = shared || base != nil
 		if base == nil {
-			// Corpus growth must not break the gate; absolute bounds still
-			// apply below via Check-style evaluation.
+			// A row new to the candidate (say, a traced run beside an
+			// untraced baseline) skips the relative gates; absolute
+			// bounds still apply.
 			res.Warnings = append(res.Warnings, fmt.Sprintf(
 				"%s/%s: no baseline row (new case?) — relative gates skipped", row.Case, row.Variant))
 		}
@@ -158,7 +155,7 @@ func Compare(baseline, candidate *bench.Report, policies []Policy, opts Options)
 				}
 				if d.PointComparison && !pointWarned && d.OldN > 0 {
 					res.Warnings = append(res.Warnings,
-						"single-sample rows present: comparison degrades to point comparison (rerun with -count ≥ 3 for real variance)")
+						"single-sample rows present: comparison degrades to point comparison (import several runs for real variance)")
 					pointWarned = true
 				}
 			}
@@ -166,28 +163,12 @@ func Compare(baseline, candidate *bench.Report, policies []Policy, opts Options)
 		}
 	}
 
+	if !shared {
+		return nil, fmt.Errorf("compare: baseline rows %s and candidate rows %s have none in common — compare runs of the same workload",
+			rowNames(baseline), rowNames(candidate))
+	}
 	applyPolicies(res, policies, sameShape)
 	return res, nil
-}
-
-// Check applies only the absolute bounds of the policies to a single
-// report — the self-gate a fresh trajectory runs with no baseline (serve
-// smoke checks, memo oracle, efficiency floors).
-func Check(candidate *bench.Report, policies []Policy) *Result {
-	res := &Result{Trajectory: candidate.Trajectory}
-	for ci := range candidate.Rows {
-		row := &candidate.Rows[ci]
-		for mi := range row.Metrics {
-			m := &row.Metrics[mi]
-			res.Deltas = append(res.Deltas, Delta{
-				Case: row.Case, Variant: row.Variant, Metric: m.Name,
-				NewMedian: bench.Median(m.Samples), NewN: len(m.Samples),
-				P: math.NaN(),
-			})
-		}
-	}
-	applyAbsolute(res, policies)
-	return res
 }
 
 // applyPolicies fires relative and absolute gates over the deltas.
@@ -196,7 +177,7 @@ func applyPolicies(res *Result, policies []Policy, sameShape bool) {
 		matched := false
 		for i := range res.Deltas {
 			d := &res.Deltas[i]
-			if !p.matches(res.Trajectory, d.Case, d.Variant, d.Metric) {
+			if !p.matches(d.Case, d.Variant, d.Metric) {
 				continue
 			}
 			matched = true
@@ -227,29 +208,7 @@ func applyPolicies(res *Result, policies []Policy, sameShape bool) {
 		if !matched && p.Required {
 			res.Violations = append(res.Violations, Violation{
 				Policy: p,
-				Msg: fmt.Sprintf("no measurement matches required gate %s (case %q variant %q) — the sweep must include the gated point",
-					p.Metric, p.Case, p.Variant),
-			})
-		}
-	}
-}
-
-// applyAbsolute is applyPolicies restricted to absolute bounds (Check).
-func applyAbsolute(res *Result, policies []Policy) {
-	for _, p := range policies {
-		matched := false
-		for i := range res.Deltas {
-			d := &res.Deltas[i]
-			if !p.matches(res.Trajectory, d.Case, d.Variant, d.Metric) {
-				continue
-			}
-			matched = true
-			fireAbsolute(res, p, d)
-		}
-		if !matched && p.Required {
-			res.Violations = append(res.Violations, Violation{
-				Policy: p,
-				Msg: fmt.Sprintf("no measurement matches required gate %s (case %q variant %q) — the sweep must include the gated point",
+				Msg: fmt.Sprintf("no measurement matches required gate %s (case %q variant %q)",
 					p.Metric, p.Case, p.Variant),
 			})
 		}
@@ -283,6 +242,15 @@ func findRow(rep *bench.Report, case_, variant string) *bench.Row {
 	return nil
 }
 
+// rowNames lists the report's rows as case/variant.
+func rowNames(rep *bench.Report) string {
+	names := make([]string, len(rep.Rows))
+	for i := range rep.Rows {
+		names[i] = rep.Rows[i].Case + "/" + rep.Rows[i].Variant
+	}
+	return "[" + strings.Join(names, " ") + "]"
+}
+
 func machineShapeEqual(a, b bench.Env) bool {
 	return a.OS == b.OS && a.Arch == b.Arch && a.NumCPU == b.NumCPU &&
 		a.GOMAXPROCS == b.GOMAXPROCS && a.GOGC == b.GOGC
@@ -300,7 +268,7 @@ func sign(v float64) int {
 // followed by warnings and violations.
 func (r *Result) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "compare: %s trajectory\n", r.Trajectory)
+	fmt.Fprintf(&b, "compare: %s\n", r.Trajectory)
 	caseW, varW, metW := len("case"), len("variant"), len("metric")
 	for i := range r.Deltas {
 		d := &r.Deltas[i]

@@ -1,32 +1,39 @@
 package compare
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/outofssa/bench"
 )
 
-// synthetic builds an envelope with n samples per metric drawn around the
-// given centers with a small relative jitter. Quality counts
-// (copies_remaining etc.) are deterministic in the real harness, so they
-// repeat exactly — that is what makes their zero-regress gate viable.
-func synthetic(trajectory string, rng *rand.Rand, n int, jitter float64, centers map[string]float64) *bench.Report {
-	rep := bench.NewReport(trajectory, 0.05)
+// synthetic builds a perfbench envelope for one workload and variant with n
+// samples per metric drawn around the given centers with a small relative
+// jitter. The copy counts, intersection tests and failed share repeat
+// exactly in real runs, which is what makes their zero-regress gates
+// viable.
+func synthetic(workload, variant string, rng *rand.Rand, n int, jitter float64, centers map[string]float64) *bench.Report {
+	rep := bench.NewReport(bench.PerfbenchTrajectory)
 	rep.Count = n
-	deterministic := map[string]bool{"copies_remaining": true, "final_copies": true, "intersection_tests": true}
 	for i := 0; i < n; i++ {
 		for name, c := range centers {
 			v := c
-			if jitter > 0 && !deterministic[name] {
+			if jitter > 0 && bench.MetricInfo(name).MachineSensitive {
 				v = c * (1 + (rng.Float64()*2-1)*jitter)
 			}
-			rep.Sample("case-a", "pooled", name, v)
+			rep.Sample(workload, variant, name, v)
 		}
 	}
 	return rep
+}
+
+// batchLarge is synthetic for untraced batch-large runs.
+func batchLarge(rng *rand.Rand, n int, jitter float64, centers map[string]float64) *bench.Report {
+	return synthetic("batch-large", "untraced", rng, n, jitter, centers)
 }
 
 // scaled returns a copy of the centers with one metric multiplied.
@@ -40,31 +47,33 @@ func scaled(centers map[string]float64, metric string, factor float64) map[strin
 }
 
 var baseCenters = map[string]float64{
-	"ns_per_op":        10_000,
-	"allocs_per_op":    120,
-	"copies_remaining": 40,
-	"speedup":          1.8,
+	"funcs_per_s":              200,
+	"copies_weighted_per_func": 88.3125,
+	"final_copies_per_func":    103.671875,
+	"peak_rss_mb":              420,
+	"setup_s":                  1.6,
+	"failed_share":             0,
 }
 
 // TestCompareInjectedRegressions: a synthetic regression of each metric
-// kind — wall clock, allocations, quality count, higher-is-better ratio —
-// must fire the gate; the injection direction matters.
+// kind — throughput, memory, set-up time, quality count — must fire the
+// gate; the injection direction matters.
 func TestCompareInjectedRegressions(t *testing.T) {
-	policies := append(DefaultPolicies("translate", 0), Regress("speedup", 0.10))
 	cases := []struct {
 		metric string
 		factor float64
 	}{
-		{"ns_per_op", 1.60},        // +60% wall clock, limit +35%
-		{"allocs_per_op", 1.30},    // +30% allocs, limit +20%
-		{"copies_remaining", 1.05}, // any quality regression, limit 0
-		{"speedup", 0.70},          // -30% on a higher-is-better metric
+		{"funcs_per_s", 0.60},              // -40% on a higher-is-better metric, limit 25%
+		{"peak_rss_mb", 1.30},              // +30% memory, limit 15%
+		{"setup_s", 1.50},                  // +50% set-up, limit 25%
+		{"copies_weighted_per_func", 1.01}, // any quality regression, limit 0
+		{"final_copies_per_func", 1.01},
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(1))
-		baseline := synthetic("translate", rng, 5, 0.02, baseCenters)
-		candidate := synthetic("translate", rng, 5, 0.02, scaled(baseCenters, tc.metric, tc.factor))
-		res, err := Compare(baseline, candidate, policies, Options{})
+		baseline := batchLarge(rng, 5, 0.02, baseCenters)
+		candidate := batchLarge(rng, 5, 0.02, scaled(baseCenters, tc.metric, tc.factor))
+		res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.metric, err)
 		}
@@ -87,17 +96,11 @@ func TestCompareInjectedRegressions(t *testing.T) {
 // TestCompareNoiseWithinBoundsPasses: across many seeds, jitter well inside
 // every limit must never fire — the gate tolerates measurement noise.
 func TestCompareNoiseWithinBoundsPasses(t *testing.T) {
-	policies := []Policy{
-		Regress("ns_per_op", 0.35),
-		Regress("allocs_per_op", 0.20),
-		Regress("speedup", 0.20),
-	}
-	noisy := map[string]float64{"ns_per_op": 10_000, "allocs_per_op": 120, "speedup": 1.8}
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		baseline := synthetic("translate", rng, 7, 0.04, noisy)
-		candidate := synthetic("translate", rng, 7, 0.04, noisy)
-		res, err := Compare(baseline, candidate, policies, Options{})
+		baseline := batchLarge(rng, 7, 0.04, baseCenters)
+		candidate := batchLarge(rng, 7, 0.04, baseCenters)
+		res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +114,8 @@ func TestCompareNoiseWithinBoundsPasses(t *testing.T) {
 // self-check — is always clean, including the zero-regress quality gates.
 func TestCompareIdenticalRunPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	rep := synthetic("translate", rng, 3, 0.05, baseCenters)
-	res, err := Compare(rep, rep, DefaultPolicies("translate", 0), Options{})
+	rep := batchLarge(rng, 3, 0.05, baseCenters)
+	res, err := Compare(rep, rep, PerfbenchPolicies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +128,10 @@ func TestCompareIdenticalRunPasses(t *testing.T) {
 // regression, however large.
 func TestCompareImprovementsPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	baseline := synthetic("translate", rng, 5, 0.02, baseCenters)
-	improved := scaled(scaled(baseCenters, "ns_per_op", 0.5), "speedup", 2)
-	candidate := synthetic("translate", rng, 5, 0.02, improved)
-	res, err := Compare(baseline, candidate, append(DefaultPolicies("translate", 0), Regress("speedup", 0.10)), Options{})
+	baseline := batchLarge(rng, 5, 0.02, baseCenters)
+	improved := scaled(scaled(scaled(baseCenters, "funcs_per_s", 2), "peak_rss_mb", 0.5), "copies_weighted_per_func", 0.9)
+	candidate := batchLarge(rng, 5, 0.02, improved)
+	res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +144,9 @@ func TestCompareImprovementsPass(t *testing.T) {
 // to a loudly-warned point comparison rather than a silent pass.
 func TestCompareSingleSamplePointComparison(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	baseline := synthetic("translate", rng, 1, 0, baseCenters)
-	candidate := synthetic("translate", rng, 1, 0, scaled(baseCenters, "allocs_per_op", 1.5))
-	res, err := Compare(baseline, candidate, DefaultPolicies("translate", 0), Options{})
+	baseline := batchLarge(rng, 1, 0, baseCenters)
+	candidate := batchLarge(rng, 1, 0, scaled(baseCenters, "peak_rss_mb", 1.5))
+	res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +163,7 @@ func TestCompareSingleSamplePointComparison(t *testing.T) {
 		t.Fatalf("missing single-sample warning: %v", res.Warnings)
 	}
 	for _, v := range res.Violations {
-		if v.Delta.Metric == "allocs_per_op" && !strings.Contains(v.Msg, "point comparison") {
+		if v.Delta.Metric == "peak_rss_mb" && !strings.Contains(v.Msg, "point comparison") {
 			t.Fatalf("violation does not flag the point comparison: %s", v.Msg)
 		}
 	}
@@ -168,96 +171,160 @@ func TestCompareSingleSamplePointComparison(t *testing.T) {
 
 // TestCompareMachineShapeMismatch: a shape mismatch refuses by default;
 // with AllowMachineMismatch it warns and skips wall-clock relative gates
-// but still fires machine-neutral ones (allocations, quality).
+// but still fires machine-neutral ones (copy counts).
 func TestCompareMachineShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	baseline := synthetic("translate", rng, 3, 0.02, baseCenters)
-	regressed := scaled(scaled(baseCenters, "ns_per_op", 2), "allocs_per_op", 1.5)
-	candidate := synthetic("translate", rng, 3, 0.02, regressed)
+	baseline := batchLarge(rng, 3, 0.02, baseCenters)
+	regressed := scaled(scaled(baseCenters, "funcs_per_s", 0.5), "final_copies_per_func", 1.1)
+	candidate := batchLarge(rng, 3, 0.02, regressed)
 	baseline.Env.NumCPU = candidate.Env.NumCPU + 8
 	baseline.Env.GOMAXPROCS = candidate.Env.GOMAXPROCS + 8
 
-	if _, err := Compare(baseline, candidate, DefaultPolicies("translate", 0), Options{}); err == nil {
+	if _, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{}); err == nil {
 		t.Fatal("machine shape mismatch must refuse by default")
 	}
 
-	res, err := Compare(baseline, candidate, DefaultPolicies("translate", 0), Options{AllowMachineMismatch: true})
+	res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{AllowMachineMismatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Warnings) == 0 || !strings.Contains(res.Warnings[0], "MACHINE SHAPE MISMATCH") {
 		t.Fatalf("missing machine-mismatch warning: %v", res.Warnings)
 	}
-	sawAlloc := false
+	sawCopies := false
 	for _, v := range res.Violations {
-		if v.Delta.Metric == "ns_per_op" {
+		if v.Delta.Metric == "funcs_per_s" {
 			t.Fatalf("wall-clock gate fired across machine shapes: %s", v.Msg)
 		}
-		if v.Delta.Metric == "allocs_per_op" {
-			sawAlloc = true
+		if v.Delta.Metric == "final_copies_per_func" {
+			sawCopies = true
 		}
 	}
-	if !sawAlloc {
-		t.Fatalf("machine-neutral alloc gate skipped: %v", res.Messages())
+	if !sawCopies {
+		t.Fatalf("machine-neutral copy gate skipped: %v", res.Messages())
 	}
 }
 
 // TestCompareTrajectoryAndScaleMismatch: envelopes from different
-// trajectories or corpus scales never compare.
+// trajectories, or measured on different corpora (different perfbench
+// workloads), never compare.
 func TestCompareTrajectoryAndScaleMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := synthetic("translate", rng, 3, 0.02, baseCenters)
-	b := synthetic("liveness", rng, 3, 0.02, baseCenters)
+	a := batchLarge(rng, 3, 0.02, baseCenters)
+	b := batchLarge(rng, 3, 0.02, baseCenters)
+	b.Trajectory = "other"
 	if _, err := Compare(a, b, nil, Options{}); err == nil {
 		t.Fatal("trajectory mismatch must error")
 	}
-	c := synthetic("translate", rng, 3, 0.02, baseCenters)
-	c.Scale = 0.5
-	if _, err := Compare(a, c, nil, Options{}); err == nil {
-		t.Fatal("scale mismatch must error")
+	c := synthetic("serve-small", "untraced", rng, 3, 0.02, baseCenters)
+	if _, err := Compare(a, c, PerfbenchPolicies(), Options{}); err == nil {
+		t.Fatal("different workloads must not compare")
 	}
 }
 
-// TestCheckAbsoluteGates: the baseline-free self-gate fires floors and
-// ceilings, and Required policies catch a sweep that dropped its point.
+// TestCheckAbsoluteGates: absolute bounds fire against the candidate alone
+// (a run compared with itself), and Required policies catch an envelope
+// that dropped the gated metric.
 func TestCheckAbsoluteGates(t *testing.T) {
-	rep := bench.NewReport("serve", 1)
-	rep.Sample("load", "clients=2", "requests", 500)
-	rep.Sample("load", "clients=2", "failures", 3)
-	rep.Sample("load", "clients=2", "quantiles_coherent", 1)
-	res := Check(rep, DefaultPolicies("serve", 0))
+	rng := rand.New(rand.NewSource(8))
+	failing := batchLarge(rng, 3, 0.02, baseCenters)
+	failing.Row("batch-large", "untraced").Metric("failed_share").Samples = []float64{0.01, 0.01, 0.01}
+	if res, err := Compare(failing, failing, PerfbenchPolicies(), Options{}); err != nil || res.OK() {
+		t.Fatalf("a 1%% failed share passed the zero ceiling (err %v)", err)
+	}
+
+	missing := map[string]float64{"funcs_per_s": 200}
+	rep := batchLarge(rng, 3, 0.02, missing)
+	res, err := Compare(rep, rep, PerfbenchPolicies(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.OK() {
-		t.Fatalf("3 failures passed the zero-failure ceiling:\n%s", res.Format())
-	}
-
-	rep2 := bench.NewReport("serve", 1)
-	rep2.Sample("load", "clients=2", "requests", 500)
-	rep2.Sample("load", "clients=2", "failures", 0)
-	rep2.Sample("load", "clients=2", "quantiles_coherent", 1)
-	if res := Check(rep2, DefaultPolicies("serve", 0)); !res.OK() {
-		t.Fatalf("clean serve report fired the gate: %v", res.Messages())
-	}
-
-	// A report missing the gated point entirely must fail, not pass.
-	empty := bench.NewReport("serve", 1)
-	if res := Check(empty, DefaultPolicies("serve", 0)); res.OK() {
-		t.Fatal("empty report passed Required gates")
+		t.Fatal("an envelope without failed_share passed the Required gate")
 	}
 }
 
-// TestScaleEfficiencyFloor: the scale trajectory's 8-worker efficiency
-// floor — the old CheckScaleEfficiency — as a compare policy.
+// TestScaleEfficiencyFloor: the batch driver's parallel-efficiency floor
+// holds on traced batch-large runs and nowhere else.
 func TestScaleEfficiencyFloor(t *testing.T) {
-	rep := bench.NewReport("scale", 0.05)
-	for _, gogc := range []string{"off", "100"} {
-		rep.Sample("batch", "gogc="+gogc+"/workers=1", "efficiency", 1)
-		rep.Sample("batch", "gogc="+gogc+"/workers=8", "efficiency", 0.72)
+	traced := func(workload string, eff float64) *bench.Report {
+		return synthetic(workload, "traced", rand.New(rand.NewSource(9)), 1, 0,
+			map[string]float64{"pipeline.batch_efficiency": eff, "failed_share": 0})
 	}
-	if res := Check(rep, DefaultPolicies("scale", 0.6)); !res.OK() {
-		t.Fatalf("efficiency 0.72 ≥ 0.6 fired: %v", res.Messages())
+	for _, tc := range []struct {
+		workload string
+		eff      float64
+		ok       bool
+	}{
+		{"batch-large", 0.72, true},
+		{"batch-large", 0.5, false},
+		{"serve-small", 0.5, true},
+	} {
+		rep := traced(tc.workload, tc.eff)
+		res, err := Compare(rep, rep, PerfbenchPolicies(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OK() != tc.ok {
+			t.Fatalf("%s efficiency %v: gate ok=%v, want %v: %v", tc.workload, tc.eff, res.OK(), tc.ok, res.Messages())
+		}
 	}
-	if res := Check(rep, DefaultPolicies("scale", 0.8)); res.OK() {
-		t.Fatal("efficiency 0.72 passed a 0.8 floor")
+}
+
+// TestPerfbenchPoliciesCoverBenchmark reads BENCHMARK.json: every
+// end-to-end metric has an unscoped relative policy no looser than its
+// bound, and the registry's direction of every declared metric matches the
+// file's. The copy and intersection-test metrics are held at zero
+// regression.
+func TestPerfbenchPoliciesCoverBenchmark(t *testing.T) {
+	raw, err := os.ReadFile("../../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type metric struct {
+		Name   string  `json:"name"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	}
+	var manifest struct {
+		EndToEnd []metric `json:"end_to_end"`
+		PerLayer []metric `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	if len(manifest.EndToEnd) == 0 {
+		t.Fatal("BENCHMARK.json declares no end-to-end metric")
+	}
+	regress := map[string]float64{}
+	for _, p := range PerfbenchPolicies() {
+		if p.MaxRegress >= 0 && p.Case == "" && p.Variant == "" {
+			regress[p.Metric] = p.MaxRegress
+		}
+	}
+	for _, m := range append(manifest.EndToEnd, manifest.PerLayer...) {
+		want := bench.LowerIsBetter
+		if m.Better == "higher" {
+			want = bench.HigherIsBetter
+		}
+		if got := bench.MetricInfo(m.Name).Better; got != want {
+			t.Errorf("%s: registry direction %v, BENCHMARK.json says %s", m.Name, got, m.Better)
+		}
+	}
+	for _, m := range manifest.EndToEnd {
+		bound, ok := regress[m.Name]
+		if !ok {
+			t.Errorf("%s: no policy gates this end-to-end metric", m.Name)
+			continue
+		}
+		if bound > m.Bound {
+			t.Errorf("%s: policy allows %v regression, BENCHMARK.json bounds it at %v", m.Name, bound, m.Bound)
+		}
+	}
+	for _, name := range []string{"copies_weighted_per_func", "final_copies_per_func", "core.intersection_tests_per_func"} {
+		if bound, ok := regress[name]; !ok || bound != 0 {
+			t.Errorf("%s must be held at zero regression (policy %v, present %v)", name, bound, ok)
+		}
 	}
 }
 
@@ -282,14 +349,14 @@ func TestMannWhitney(t *testing.T) {
 // the warnings, and the violations — it is the CI log artifact.
 func TestFormatMentionsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	baseline := synthetic("translate", rng, 3, 0.02, baseCenters)
-	candidate := synthetic("translate", rng, 3, 0.02, scaled(baseCenters, "allocs_per_op", 2))
-	res, err := Compare(baseline, candidate, DefaultPolicies("translate", 0), Options{})
+	baseline := batchLarge(rng, 3, 0.02, baseCenters)
+	candidate := batchLarge(rng, 3, 0.02, scaled(baseCenters, "peak_rss_mb", 2))
+	res, err := Compare(baseline, candidate, PerfbenchPolicies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := res.Format()
-	for _, want := range []string{"translate trajectory", "allocs_per_op", "VIOLATION", "gate: FAIL"} {
+	for _, want := range []string{"perfbench", "peak_rss_mb", "VIOLATION", "gate: FAIL"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}

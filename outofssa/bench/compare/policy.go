@@ -1,10 +1,6 @@
 package compare
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Policy is one gate over the comparison: which cells it matches and what
 // it demands of them. The zero value matches nothing useful — build
@@ -13,19 +9,18 @@ import (
 type Policy struct {
 	// Metric is the exact metric name the gate applies to (required).
 	Metric string
-	// Trajectory, Case, and Variant are substring filters ("" matches
-	// any). Variant "memo-warm" matches every memo-warm row, variant
-	// "workers=8" matches every GOGC sweep at 8 workers, and so on.
-	Trajectory, Case, Variant string
+	// Case and Variant restrict the gate to rows with exactly that case
+	// (perfbench workload) and variant (untraced, traced); "" matches any.
+	Case, Variant string
 	// MaxRegress is the relative-regression gate: the candidate median may
 	// move at most this fraction (0.20 = +20%) in the metric's worse
 	// direction versus the baseline. Negative disables the relative gate.
 	MaxRegress float64
 	// MinValue and MaxValue are absolute bounds on the candidate median
-	// (NaN disables each). These also apply with no baseline (Check).
+	// (NaN disables each). These also apply to rows with no baseline row.
 	MinValue, MaxValue float64
 	// Required makes the absence of any matching measurement itself a
-	// violation — a sweep silently dropping its gated point must fail.
+	// violation — an envelope silently dropping a gated metric must fail.
 	Required bool
 }
 
@@ -48,8 +43,8 @@ func Ceiling(metric string, maxValue float64) Policy {
 		MinValue: math.NaN(), MaxValue: maxValue}
 }
 
-// On restricts the policy to rows whose case/variant contain the given
-// substrings ("" leaves a filter open).
+// On restricts the policy to rows with the given case and variant ("" leaves
+// a filter open).
 func (p Policy) On(case_, variant string) Policy {
 	p.Case, p.Variant = case_, variant
 	return p
@@ -61,79 +56,29 @@ func (p Policy) Require() Policy {
 	return p
 }
 
-func (p Policy) matches(trajectory, case_, variant, metric string) bool {
+func (p Policy) matches(case_, variant, metric string) bool {
 	return p.Metric == metric &&
-		strings.Contains(trajectory, p.Trajectory) &&
-		strings.Contains(case_, p.Case) &&
-		strings.Contains(variant, p.Variant)
+		(p.Case == "" || p.Case == case_) &&
+		(p.Variant == "" || p.Variant == variant)
 }
 
-// String renders the policy for gate listings.
-func (p Policy) String() string {
-	var parts []string
-	if p.MaxRegress >= 0 {
-		parts = append(parts, fmt.Sprintf("regress≤%.0f%%", p.MaxRegress*100))
-	}
-	if !math.IsNaN(p.MinValue) {
-		parts = append(parts, fmt.Sprintf("≥%g", p.MinValue))
-	}
-	if !math.IsNaN(p.MaxValue) {
-		parts = append(parts, fmt.Sprintf("≤%g", p.MaxValue))
-	}
-	scope := ""
-	if p.Case != "" || p.Variant != "" {
-		scope = fmt.Sprintf(" on %q/%q", p.Case, p.Variant)
-	}
-	return fmt.Sprintf("%s %s%s", p.Metric, strings.Join(parts, ","), scope)
-}
-
-// DefaultPolicies returns the standing gate of one trajectory — the
-// policies that subsume the old bespoke checks. minEff parameterizes the
-// scale trajectory's parallel-efficiency floor (≤0 picks the historical
-// 0.6 default); it is ignored elsewhere.
-func DefaultPolicies(trajectory string, minEff float64) []Policy {
-	// Every trajectory: allocations are deterministic and machine-neutral,
-	// so the historical translate +20% alloc gate generalizes; wall clock
-	// gets a looser gate (skipped automatically across machine shapes);
-	// translation quality must never regress at all.
-	ps := []Policy{
-		Regress("allocs_per_op", 0.20),
-		Regress("ns_per_op", 0.35),
-		Regress("nanos_per_func", 0.35),
-		Regress("copies_remaining", 0),
-		Regress("final_copies", 0),
-		Regress("intersection_tests", 0),
-	}
-	switch trajectory {
-	case "scale":
-		if minEff <= 0 {
-			minEff = 0.6
-		}
-		// The old CheckScaleEfficiency floor: the 8-worker point of every
-		// GOGC setting must hold the efficiency floor, and the sweep must
-		// actually include that point.
-		ps = append(ps, Floor("efficiency", minEff).On("", "workers=8").Require())
-	case "serve":
-		ps = append(ps,
-			Ceiling("failures", 0).Require(),
-			Floor("requests", 1).Require(),
-			Floor("quantiles_coherent", 1).Require(),
-		)
-	case "memo":
-		ps = append(ps,
-			Floor("warm_speedup", 2).On("", "memo-warm").Require(),
-			Floor("hit_rate", 0.999).On("", "memo-warm").Require(),
-			Floor("oracle_clean", 1).On("", "/oracle").Require(),
-		)
-	}
-	return ps
-}
-
-// DaemonPolicies is the absolute self-gate of the memo daemon point
-// (cmd/ssaload -dup): traffic flowed and the memo actually engaged.
-func DaemonPolicies() []Policy {
+// PerfbenchPolicies returns the standing gate of the perfbench envelopes:
+//   - every BENCHMARK.json end-to-end metric within its bound, in its
+//     direction, except the two copy metrics, which the benchmark bounds
+//     at 2% but which repeat exactly, so any rise fails;
+//   - core.intersection_tests_per_func (traced runs) never rises either;
+//   - no failed operation;
+//   - the batch driver's parallel efficiency at least 0.6 on traced
+//     batch-large runs.
+func PerfbenchPolicies() []Policy {
 	return []Policy{
-		Floor("requests", 1).On("daemon", "").Require(),
-		Floor("memo_hit_rate", 0.05).On("daemon", "").Require(),
+		Regress("funcs_per_s", 0.25),
+		Regress("copies_weighted_per_func", 0),
+		Regress("final_copies_per_func", 0),
+		Regress("peak_rss_mb", 0.15),
+		Regress("setup_s", 0.25),
+		Regress("core.intersection_tests_per_func", 0),
+		Ceiling("failed_share", 0).Require(),
+		Floor("pipeline.batch_efficiency", 0.6).On("batch-large", "traced"),
 	}
 }

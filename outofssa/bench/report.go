@@ -13,29 +13,24 @@ import (
 	"time"
 )
 
-// ---------------------------------------------------------- Trajectory core
+// Report envelope
 //
-// Every perf trajectory of the engine — liveness, coalesce, translate,
-// scale, serve, memo — emits the same versioned report envelope: run
-// metadata (commit, machine shape, GOMAXPROCS, GOGC, timestamp) plus rows
-// of named metric samples with repeat counts. The per-trajectory files
-// shrink to corpus + metric definitions + a Runner that appends one sample
-// per metric per pass; Measure drives the Runner -count times so the
-// compare package has real variance to work with. The envelope is what the
-// store appends, what compare gates, and what the committed BENCH_*.json
-// exports contain.
+// Every benchmark result the store keeps is one versioned envelope: run
+// metadata (commit, machine shape, GOMAXPROCS, GOGC, timestamp) plus rows of
+// named metric samples. ImportPerfbench builds one from perfbench result
+// lines, the store appends it, compare gates two of them, and the store
+// exports it as JSON.
 
 // SchemaVersion is the envelope version; ReadReport rejects anything newer.
 const SchemaVersion = 1
 
-// Commit is recorded in every captured Env. It defaults to the
-// SSABENCH_COMMIT environment variable; cmd layers overwrite it from
-// `git rev-parse` or a flag before measuring.
+// Commit is recorded in every captured Env: the SSABENCH_COMMIT
+// environment variable.
 var Commit = os.Getenv("SSABENCH_COMMIT")
 
-// Env is the run metadata recorded uniformly in every report envelope —
-// the serve and memo trajectories included. compare refuses (or warns
-// loudly) when two reports disagree on the machine-shape fields.
+// Env is the run metadata recorded in every report envelope. compare
+// refuses (or warns loudly) when two reports disagree on the machine-shape
+// fields.
 type Env struct {
 	Commit     string `json:"commit,omitempty"`
 	GoVersion  string `json:"go_version"`
@@ -82,10 +77,9 @@ const (
 	HigherIsBetter
 )
 
-// MetricDef describes one named metric of the trajectory suite.
+// MetricDef describes one named metric of the benchmark.
 type MetricDef struct {
 	Name string
-	Unit string
 	// Better is the direction an improvement moves in.
 	Better Direction
 	// MachineSensitive metrics (wall clock and friends) are only
@@ -94,38 +88,19 @@ type MetricDef struct {
 	MachineSensitive bool
 }
 
-// metricDefs is the shared registry. Unknown metrics default to
-// lower-is-better and machine-sensitive — the conservative reading.
+// metricDefs lists the perfbench metrics that are higher-is-better or
+// machine-neutral. Every other metric — the per-layer times, peak_rss_mb,
+// setup_s — takes the default: lower is better, machine-sensitive. The
+// directions match BENCHMARK.json (a compare test checks it).
 var metricDefs = map[string]MetricDef{
-	"ns_per_op":          {Unit: "ns/op", Better: LowerIsBetter, MachineSensitive: true},
-	"nanos_per_func":     {Unit: "ns/func", Better: LowerIsBetter, MachineSensitive: true},
-	"allocs_per_op":      {Unit: "allocs/op", Better: LowerIsBetter},
-	"bytes_per_op":       {Unit: "B/op", Better: LowerIsBetter},
-	"speedup":            {Unit: "x", Better: HigherIsBetter},
-	"alloc_ratio":        {Unit: "x", Better: HigherIsBetter},
-	"warm_speedup":       {Unit: "x", Better: HigherIsBetter},
-	"efficiency":         {Unit: "", Better: HigherIsBetter},
-	"pops":               {Unit: "", Better: LowerIsBetter},
-	"iterations":         {Unit: "", Better: LowerIsBetter},
-	"intersection_tests": {Unit: "", Better: LowerIsBetter},
-	"copies_remaining":   {Unit: "", Better: LowerIsBetter},
-	"copies_coalesced":   {Unit: "", Better: HigherIsBetter},
-	"final_copies":       {Unit: "", Better: LowerIsBetter},
-	"hit_rate":           {Unit: "", Better: HigherIsBetter},
-	"memo_hit_rate":      {Unit: "", Better: HigherIsBetter},
-	"oracle_clean":       {Unit: "", Better: HigherIsBetter},
-	"requests":           {Unit: "", Better: HigherIsBetter, MachineSensitive: true},
-	"funcs":              {Unit: "", Better: HigherIsBetter, MachineSensitive: true},
-	"failures":           {Unit: "", Better: LowerIsBetter},
-	"overloaded":         {Unit: "", Better: LowerIsBetter, MachineSensitive: true},
-	"requests_per_sec":   {Unit: "req/s", Better: HigherIsBetter, MachineSensitive: true},
-	"funcs_per_sec":      {Unit: "funcs/s", Better: HigherIsBetter, MachineSensitive: true},
-	"p50_us":             {Unit: "us", Better: LowerIsBetter, MachineSensitive: true},
-	"p90_us":             {Unit: "us", Better: LowerIsBetter, MachineSensitive: true},
-	"p99_us":             {Unit: "us", Better: LowerIsBetter, MachineSensitive: true},
-	"mean_us":            {Unit: "us", Better: LowerIsBetter, MachineSensitive: true},
-	"max_us":             {Unit: "us", Better: LowerIsBetter, MachineSensitive: true},
-	"quantiles_coherent": {Unit: "", Better: HigherIsBetter},
+	"funcs_per_s":                      {Better: HigherIsBetter, MachineSensitive: true},
+	"copies_weighted_per_func":         {Better: LowerIsBetter},
+	"final_copies_per_func":            {Better: LowerIsBetter},
+	"failed_share":                     {Better: LowerIsBetter},
+	"core.intersection_tests_per_func": {Better: LowerIsBetter},
+	"pipeline.batch_efficiency":        {Better: HigherIsBetter, MachineSensitive: true},
+	"core.memo_hit_rate":               {Better: HigherIsBetter},
+	"analysis.cache_hit_rate":          {Better: HigherIsBetter},
 }
 
 // MetricInfo returns the registry entry for name, or the conservative
@@ -139,7 +114,7 @@ func MetricInfo(name string) MetricDef {
 }
 
 // Metric is one named sample set of a row; Samples holds one value per
-// measurement pass (the repeat count).
+// run.
 type Metric struct {
 	Name    string    `json:"name"`
 	Samples []float64 `json:"samples"`
@@ -162,8 +137,8 @@ func Median(samples []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Row is one measured configuration: a corpus case under a variant
-// (strategy, engine, backend, sweep point…) with its metric sample sets.
+// Row is one measured configuration: a case (the perfbench workload) under
+// a variant (untraced or traced) with its metric sample sets.
 type Row struct {
 	Case    string   `json:"case"`
 	Variant string   `json:"variant,omitempty"`
@@ -180,38 +155,21 @@ func (r *Row) Metric(name string) *Metric {
 	return nil
 }
 
-// Report is the versioned envelope every trajectory emits: one store
-// entry, one compare operand, one committed BENCH_*.json export.
+// Report is the versioned envelope: one store entry, one compare operand,
+// one store export.
 type Report struct {
-	Schema     int     `json:"schema"`
-	Trajectory string  `json:"trajectory"`
-	Scale      float64 `json:"scale,omitempty"`
-	// Count is the repeat count: how many measurement passes contributed
-	// samples (single-run reports degrade compare to point comparison).
-	Count int `json:"count"`
-	Env   Env `json:"env"`
-	// Params carries trajectory-specific knobs worth reproducing the run
-	// from (corpus sizes, sweep axes, request mode…).
-	Params map[string]string `json:"params,omitempty"`
-	Rows   []Row             `json:"rows"`
+	Schema     int    `json:"schema"`
+	Trajectory string `json:"trajectory"`
+	// Count is the repeat count: how many runs contributed samples
+	// (single-run reports degrade compare to point comparison).
+	Count int   `json:"count"`
+	Env   Env   `json:"env"`
+	Rows  []Row `json:"rows"`
 }
 
 // NewReport assembles an empty envelope with a freshly captured Env.
-func NewReport(trajectory string, scale float64) *Report {
-	return &Report{
-		Schema:     SchemaVersion,
-		Trajectory: trajectory,
-		Scale:      scale,
-		Env:        CaptureEnv(),
-	}
-}
-
-// SetParam records one trajectory-specific parameter.
-func (rep *Report) SetParam(key, value string) {
-	if rep.Params == nil {
-		rep.Params = map[string]string{}
-	}
-	rep.Params[key] = value
+func NewReport(trajectory string) *Report {
+	return &Report{Schema: SchemaVersion, Trajectory: trajectory, Env: CaptureEnv()}
 }
 
 // Row returns the (case, variant) row, appending an empty one on first use.
@@ -268,61 +226,16 @@ func ReadReportFile(path string) (*Report, error) {
 	return ReadReport(f)
 }
 
-// Runner is what each trajectory implements: a corpus bound at
-// construction plus one measurement pass that appends one sample per
-// metric to the envelope's rows.
-type Runner interface {
-	// Trajectory names the trajectory ("liveness", "translate", …).
-	Trajectory() string
-	// Scale is the corpus scale the runner was constructed at.
-	Scale() float64
-	// Run performs one full measurement pass, appending samples via
-	// rep.Sample. Deterministic metrics append identical samples; timed
-	// metrics give compare real variance.
-	Run(rep *Report) error
-}
-
-// Measure drives the runner count times (≥1) and returns the envelope.
-func Measure(r Runner, count int) (*Report, error) {
-	if count < 1 {
-		count = 1
-	}
-	rep := NewReport(r.Trajectory(), r.Scale())
-	rep.Count = count
-	for i := 0; i < count; i++ {
-		if err := r.Run(rep); err != nil {
-			return nil, fmt.Errorf("bench: %s pass %d: %w", r.Trajectory(), i+1, err)
-		}
-	}
-	return rep, nil
-}
-
 // FormatReport renders the envelope as the uniform human-readable table:
 // one line per row, metrics as name=median (±half-range when the repeat
 // count gives a spread).
 func FormatReport(rep *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s trajectory", rep.Trajectory)
-	if rep.Scale != 0 {
-		fmt.Fprintf(&b, " (scale %g)", rep.Scale)
-	}
-	fmt.Fprintf(&b, ", count %d — %s, %s", rep.Count, rep.Env.GoVersion, rep.Env.MachineShape())
+	fmt.Fprintf(&b, "%s, count %d — %s, %s", rep.Trajectory, rep.Count, rep.Env.GoVersion, rep.Env.MachineShape())
 	if rep.Env.Commit != "" {
 		fmt.Fprintf(&b, ", commit %s", rep.Env.Commit)
 	}
 	b.WriteByte('\n')
-	if len(rep.Params) > 0 {
-		keys := make([]string, 0, len(rep.Params))
-		for k := range rep.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "params:")
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, rep.Params[k])
-		}
-		b.WriteByte('\n')
-	}
 	caseW, varW := len("case"), len("variant")
 	for i := range rep.Rows {
 		caseW = max(caseW, len(rep.Rows[i].Case))

@@ -327,9 +327,8 @@ func (s *Store) Resolve(ref string) (Entry, error) {
 	}
 }
 
-// Export writes the resolved run's envelope as indented JSON — the format
-// of the committed BENCH_*.json trajectory files, re-readable by
-// bench.ReadReport and by `ssabench compare`.
+// Export writes the resolved run's envelope as indented JSON, re-readable
+// by bench.ReadReport and by `ssabench compare`.
 func (s *Store) Export(w io.Writer, ref string) error {
 	e, err := s.Resolve(ref)
 	if err != nil {

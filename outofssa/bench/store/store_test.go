@@ -12,11 +12,11 @@ import (
 )
 
 func report(trajectory string, seed float64) *bench.Report {
-	rep := bench.NewReport(trajectory, 0.05)
+	rep := bench.NewReport(trajectory)
 	rep.Count = 3
 	for i := 0; i < 3; i++ {
-		rep.Sample("c1", "pooled", "ns_per_op", 100+seed+float64(i))
-		rep.Sample("c1", "pooled", "allocs_per_op", 50+seed)
+		rep.Sample("batch-large", "untraced", "funcs_per_s", 100+seed+float64(i))
+		rep.Sample("batch-large", "untraced", "peak_rss_mb", 50+seed)
 	}
 	return rep
 }
@@ -173,7 +173,6 @@ func TestStoreConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perHandle; i++ {
 				rep := report(fmt.Sprintf("traj-%d", g), float64(i))
-				rep.SetParam("i", fmt.Sprint(i))
 				if _, err := s.Append(rep); err != nil {
 					t.Errorf("append g=%d i=%d: %v", g, i, err)
 				}

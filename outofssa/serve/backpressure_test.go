@@ -161,7 +161,8 @@ func TestQueueAdmitsThenSheds(t *testing.T) {
 // books balance: every issued request is accounted exactly once. With 40
 // admissible requests against 4 slots and a 16-deep queue some may be
 // rejected with 429, so the client tallies every status and the server's
-// counters must match those tallies exactly.
+// counters must match those tallies exactly. The latency quantiles
+// /v1/stats then reports must satisfy 0 < p50 ≤ p90 ≤ p99 ≤ max.
 func TestConcurrentStatsIntegrity(t *testing.T) {
 	s := New(Config{MaxInFlight: 4})
 	ts := httptest.NewServer(s)
@@ -261,6 +262,21 @@ func TestConcurrentStatsIntegrity(t *testing.T) {
 	}
 	if st.Functions.OK != funcsOK {
 		t.Fatalf("functions ok = %d, want %d (the functions in the 200 responses)", st.Functions.OK, funcsOK)
+	}
+
+	// The latency quantiles /v1/stats reports are coherent.
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if l := wire.Latency; !(0 < l.P50Micros && l.P50Micros <= l.P90Micros && l.P90Micros <= l.P99Micros && l.P99Micros <= l.MaxMicros) {
+		t.Fatalf("/v1/stats latency quantiles incoherent: p50=%v p90=%v p99=%v max=%v",
+			l.P50Micros, l.P90Micros, l.P99Micros, l.MaxMicros)
 	}
 }
 

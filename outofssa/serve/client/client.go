@@ -1,7 +1,6 @@
 // Package client is the typed Go client of the ssad translation daemon
 // (outofssa/serve): single translations, NDJSON-streamed batches with a
-// per-item callback, and stats scraping. The load generator cmd/ssaload
-// and the serve tests are its consumers.
+// per-item callback, and stats scraping, with retries and hedging.
 package client
 
 import (

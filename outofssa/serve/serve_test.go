@@ -7,6 +7,7 @@ package serve_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -71,21 +72,47 @@ func TestTranslateRoundTrip(t *testing.T) {
 
 // TestTranslateRawBodyAndQuery exercises the curl path: raw textual IR as
 // the body, options as query parameters, no JSON anywhere in the request.
+// The removed machinery fields (graph, livecheck, linear, ordered_sets)
+// are refused with a 400 naming the field, as query parameters and as
+// JSON body fields alike.
 func TestTranslateRawBodyAndQuery(t *testing.T) {
 	ts, _ := startServer(t, serve.Config{})
 	src := corpus(t, 1, 0)
-	resp, err := http.Post(ts.URL+"/v1/translate?strategy=intersect&graph=true&livecheck=false",
-		"text/plain", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
+	post := func(query, contentType, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/translate"+query, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	code, body := post("?strategy=intersect&split_edges=true", "text/plain", src)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"output"`) {
+	if !strings.Contains(body, `"output"`) {
 		t.Fatalf("no output field in %s", body)
+	}
+
+	code, body = post("?strategy=intersect&graph=true&livecheck=false", "text/plain", src)
+	if code != http.StatusBadRequest || !strings.Contains(body, `\"graph\"`) {
+		t.Fatalf("removed query fields: status %d, body %s; want 400 naming graph", code, body)
+	}
+	for _, field := range []string{"graph", "livecheck", "linear", "ordered_sets"} {
+		code, body = post("?"+field+"=false", "text/plain", src)
+		if code != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("query %s: status %d, body %s; want 400 naming the field", field, code, body)
+		}
+		req, err := json.Marshal(map[string]any{"source": src, field: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body = post("", "application/json", string(req))
+		if code != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("JSON field %s: status %d, body %s; want 400 naming the field", field, code, body)
+		}
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // strategy's default (WithStrategy implies virtualization for sreedhar3,
 // for example); a present field is applied after the strategy, last one
 // wins, and the server validates the final combination exactly like
-// outofssa.New does.
+// outofssa.New does. The daemon serves one liveness and interference
+// machinery, the defaults: a request naming graph, livecheck, linear or
+// ordered_sets is refused with a RemovedFieldError.
 type TranslateRequest struct {
 	// Source is the textual IR: exactly one function for /v1/translate,
 	// any number of concatenated functions for /v1/batch.
@@ -35,10 +37,6 @@ type TranslateRequest struct {
 
 	// Machinery toggles, mirroring the outofssa functional options.
 	Virtualize   *bool `json:"virtualize,omitempty"`    // WithVirtualization
-	Graph        *bool `json:"graph,omitempty"`         // WithInterferenceGraph
-	LiveCheck    *bool `json:"livecheck,omitempty"`     // WithFastLiveness
-	Linear       *bool `json:"linear,omitempty"`        // WithLinearClassTest
-	OrderedSets  *bool `json:"ordered_sets,omitempty"`  // WithOrderedSets
 	SplitEdges   *bool `json:"split_edges,omitempty"`   // WithCriticalEdgeSplitting
 	KeepParallel *bool `json:"keep_parallel,omitempty"` // WithParallelCopies
 	Verify       *bool `json:"verify,omitempty"`        // WithVerify (default on)
@@ -74,18 +72,6 @@ func (req *TranslateRequest) translator(extra ...outofssa.Option) (*outofssa.Tra
 	if req.Virtualize != nil {
 		opts = append(opts, outofssa.WithVirtualization(*req.Virtualize))
 	}
-	if req.Graph != nil {
-		opts = append(opts, outofssa.WithInterferenceGraph(*req.Graph))
-	}
-	if req.LiveCheck != nil {
-		opts = append(opts, outofssa.WithFastLiveness(*req.LiveCheck))
-	}
-	if req.Linear != nil {
-		opts = append(opts, outofssa.WithLinearClassTest(*req.Linear))
-	}
-	if req.OrderedSets != nil {
-		opts = append(opts, outofssa.WithOrderedSets(*req.OrderedSets))
-	}
 	if req.SplitEdges != nil {
 		opts = append(opts, outofssa.WithCriticalEdgeSplitting(*req.SplitEdges))
 	}
@@ -105,6 +91,23 @@ func (req *TranslateRequest) translator(extra ...outofssa.Option) (*outofssa.Tra
 	return outofssa.New(opts...)
 }
 
+// RemovedFieldError refuses a request that names a field the daemon no
+// longer accepts. The fields graph, livecheck, linear and ordered_sets
+// chose how the same answer was computed; they exist to reproduce the
+// paper's Figures 6 and 7, which ssabench does without the daemon, and on
+// the wire they keyed the memo separately and let one request ask for a
+// quadratic interference graph.
+type RemovedFieldError struct {
+	Field string
+}
+
+func (e *RemovedFieldError) Error() string {
+	return fmt.Sprintf("serve: request field %q was removed: the daemon serves the default machinery only", e.Field)
+}
+
+// removedFields are the request fields RemovedFieldError refuses.
+var removedFields = [...]string{"graph", "livecheck", "linear", "ordered_sets"}
+
 // parseRequest reads one TranslateRequest from an HTTP request. A JSON
 // content type selects the JSON body form; anything else treats the whole
 // body as the textual IR source. Query parameters are applied first in
@@ -112,7 +115,13 @@ func (req *TranslateRequest) translator(extra ...outofssa.Option) (*outofssa.Tra
 // the body winning where both name a field.
 func parseRequest(r *http.Request) (TranslateRequest, error) {
 	var req TranslateRequest
-	if err := applyQuery(&req, r.URL.Query()); err != nil {
+	q := r.URL.Query()
+	for _, name := range removedFields {
+		if q.Has(name) {
+			return req, &RemovedFieldError{Field: name}
+		}
+	}
+	if err := applyQuery(&req, q); err != nil {
 		return req, err
 	}
 	body, err := io.ReadAll(r.Body)
@@ -121,8 +130,22 @@ func parseRequest(r *http.Request) (TranslateRequest, error) {
 	}
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err == nil && (mt == "application/json" || strings.HasSuffix(mt, "+json")) {
-		if err := json.Unmarshal(body, &req); err != nil {
+		// The removed fields decode in the same pass as the request, only
+		// to be refused.
+		wire := struct {
+			*TranslateRequest
+			Graph       json.RawMessage `json:"graph"`
+			LiveCheck   json.RawMessage `json:"livecheck"`
+			Linear      json.RawMessage `json:"linear"`
+			OrderedSets json.RawMessage `json:"ordered_sets"`
+		}{TranslateRequest: &req}
+		if err := json.Unmarshal(body, &wire); err != nil {
 			return req, fmt.Errorf("serve: decoding JSON request: %w", err)
+		}
+		for i, raw := range [...]json.RawMessage{wire.Graph, wire.LiveCheck, wire.Linear, wire.OrderedSets} {
+			if raw != nil {
+				return req, &RemovedFieldError{Field: removedFields[i]}
+			}
 		}
 	} else {
 		req.Source = string(body)
@@ -153,10 +176,6 @@ func applyQuery(req *TranslateRequest, q url.Values) error {
 	}
 	for name, dst := range map[string]**bool{
 		"virtualize":    &req.Virtualize,
-		"graph":         &req.Graph,
-		"livecheck":     &req.LiveCheck,
-		"linear":        &req.Linear,
-		"ordered_sets":  &req.OrderedSets,
 		"split_edges":   &req.SplitEdges,
 		"keep_parallel": &req.KeepParallel,
 		"verify":        &req.Verify,
